@@ -49,7 +49,7 @@ async def _measure(threads_per_client: int, workdir: str) -> Dict[str, Any]:
         # Fresh recorder for the measured window: warmup misses would
         # otherwise drag the hit ratio and latency tails.
         from repro.metrics.recorder import OpRecorder
-        recorder = OpRecorder()
+        recorder = OpRecorder(rng_registry=cluster.rng)
         cluster.recorder = recorder
         for client in cluster.clients:
             client.recorder = recorder

@@ -67,13 +67,14 @@ GEM014    Wire-schema drift: the codec surface of
           ``tools/wire_schema.py --write`` in the same change.
 ========  ============================================================
 
-GEM007-GEM009 are interprocedural: they consume per-module yield/lock
-summaries from :mod:`repro.analysis.interproc`, so a helper reached via
-``yield from`` contributes its suspension points and lock acquisitions
-to its callers. GEM011-GEM014 are the GeminiFlow pass
-(:mod:`repro.analysis.flow` / :mod:`repro.analysis.flowrules`): a
-cross-module call graph with a may-raise fixpoint over the live
-runtime, plus the wire-schema contract gate.
+Every interprocedural rule reads one call graph,
+:class:`repro.analysis.flow.FlowProject`: GEM003 walks its ``self``
+call sites; GEM007-GEM009 read its yield/lock fixpoint through
+:mod:`repro.analysis.interproc`, so a helper reached via ``yield from``
+contributes its suspension points and lock acquisitions to its callers;
+GEM011-GEM014 (:mod:`repro.analysis.flowrules`) read its may-raise
+fixpoint and, for the wire-schema contract, its cross-module class
+table.
 
 Run with ``python -m repro.analysis src/``; suppress a finding with an
 inline ``# geminilint: disable=GEMxxx -- justification`` comment (the

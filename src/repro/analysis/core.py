@@ -19,10 +19,12 @@ from __future__ import annotations
 import ast
 import re
 import tokenize
+from collections import deque
 from dataclasses import dataclass, field
 from io import StringIO
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Type, Union, cast)
 
 __all__ = [
     "Finding",
@@ -34,7 +36,14 @@ __all__ = [
     "analyze_source",
     "analyze_file",
     "analyze_paths",
+    "CALLABLE_DEFS",
+    "enclosing_callable",
+    "walk_own",
+    "op_of_call",
 ]
+
+#: Node types that open a new function scope.
+CALLABLE_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: Matches an inline suppression comment: the marker, one or more GEM
 #: codes, and an optional ``-- reason`` tail (mandatory in practice; see
@@ -89,34 +98,35 @@ class ModuleContext:
     def parent(self, node: ast.AST) -> Optional[ast.AST]:
         return self.parents.get(node)
 
+    def enclosing(self, node: ast.AST,
+                  kinds: Union[type, Tuple[type, ...]]) -> Optional[ast.AST]:
+        """Innermost ancestor of ``node`` that is an instance of ``kinds``."""
+        current = self.parents.get(node)
+        while current is not None:
+            if isinstance(current, kinds):
+                return current
+            current = self.parents.get(current)
+        return None
+
     def enclosing_function(
         self, node: ast.AST
     ) -> Optional[ast.FunctionDef]:
-        """Innermost ``def`` containing ``node`` (async defs never occur
-        in this codebase; the sim kernel uses plain generators)."""
-        current = self.parents.get(node)
-        while current is not None:
-            if isinstance(current, ast.FunctionDef):
-                return current
-            current = self.parents.get(current)
-        return None
+        """Innermost plain ``def`` containing ``node``.
+
+        ``async def`` is skipped on purpose: the sim-kernel rules reason
+        about generator ``def``s, and a coroutine of the live runtime is
+        never one of them. :func:`enclosing_callable` sees both kinds.
+        """
+        return cast(Optional[ast.FunctionDef],
+                    self.enclosing(node, ast.FunctionDef))
 
     def enclosing_class(self, node: ast.AST) -> Optional[ast.ClassDef]:
-        current = self.parents.get(node)
-        while current is not None:
-            if isinstance(current, ast.ClassDef):
-                return current
-            current = self.parents.get(current)
-        return None
+        return cast(Optional[ast.ClassDef], self.enclosing(node, ast.ClassDef))
 
     def is_generator(self, func: ast.FunctionDef) -> bool:
         """True when ``func`` contains a ``yield`` of its own."""
-        for node in ast.walk(func):
-            if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                owner = self.enclosing_function(node)
-                if owner is func:
-                    return True
-        return False
+        return any(isinstance(node, (ast.Yield, ast.YieldFrom))
+                   for node in walk_own(func, ast.FunctionDef))
 
 
 class Rule:
@@ -334,14 +344,50 @@ def keyword_arg(node: ast.Call, name: str) -> Optional[ast.expr]:
     return None
 
 
-def walk_in_function(ctx: ModuleContext, func: ast.FunctionDef,
-                     kinds: Tuple[type, ...],
+def op_of_call(call: ast.Call) -> Optional[str]:
+    """The protocol op a call carries, across both op-building idioms.
+
+    ``CacheOp(op="get_dirty", ...)`` / ``self._cfg(cfg, op="...")`` pass
+    the op as a keyword; client sessions use ``self._op("get_dirty",
+    cfg, ...)`` with the op as the first positional argument.
+    """
+    value = keyword_arg(call, "op")
+    if isinstance(value, ast.Constant) and isinstance(value.value, str):
+        return value.value
+    name = call_name(call)
+    if name is not None and name.split(".")[-1] == "_op" and call.args:
+        first = call.args[0]
+        if isinstance(first, ast.Constant) and isinstance(first.value, str):
+            return first.value
+    return None
+
+
+def enclosing_callable(ctx: ModuleContext,
+                       node: ast.AST) -> Optional[ast.AST]:
+    """Innermost ``def`` or ``async def`` containing ``node``."""
+    return ctx.enclosing(node, CALLABLE_DEFS)
+
+
+def walk_own(func: ast.AST,
+             scopes: Union[type, Tuple[type, ...]] = CALLABLE_DEFS
+             ) -> Iterator[ast.AST]:
+    """Nodes whose innermost enclosing ``scopes`` node is ``func``, in
+    :func:`ast.walk` order: a nested scope is yielded, its insides are
+    not. The default scopes are ``def`` and ``async def``
+    (:func:`enclosing_callable`); ``ast.FunctionDef`` alone matches
+    :meth:`ModuleContext.enclosing_function`."""
+    todo = deque(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.popleft()
+        yield node
+        if not isinstance(node, scopes):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def walk_in_function(func: ast.FunctionDef, kinds: Tuple[type, ...],
                      predicate: Optional[Callable[[ast.AST], bool]] = None
                      ) -> List[ast.AST]:
     """Nodes of ``kinds`` whose innermost enclosing def is ``func``."""
-    out: List[ast.AST] = []
-    for node in ast.walk(func):
-        if isinstance(node, kinds) and ctx.enclosing_function(node) is func:
-            if predicate is None or predicate(node):
-                out.append(node)
-    return out
+    return [node for node in walk_own(func, ast.FunctionDef)
+            if isinstance(node, kinds)
+            and (predicate is None or predicate(node))]

@@ -1,26 +1,29 @@
-"""GeminiFlow: interprocedural exception- and blocking-flow analysis.
-
-The GeminiSan summaries (:mod:`repro.analysis.interproc`) answer "may
-this generator suspend, which locks does it hold" for one module at a
-time. The live-runtime rules (GEM011-GEM014, :mod:`.flowrules`) need
-two more facts, and need them across module boundaries:
-
-* **may-raise sets** — which exception classes can escape a function,
-  with call-graph propagation and ``try/except`` filtering, so GEM011
-  can close the RPC error surface over the wire registry.
-* **may-block witnesses** — which functions reach a blocking primitive
-  (``open``, ``time.sleep``, ...) from the event loop, so GEM013 can
-  keep the loop responsive.
+"""GeminiFlow: the one call graph behind every interprocedural rule.
 
 A :class:`FlowProject` is built from one or more parsed modules. Calls
 are resolved through ``self``/``super()`` (walking base classes across
 modules), module-level names, imported names, and a class-hierarchy-
 analysis fallback for other attribute calls (every known method of that
-name is a candidate). Unresolvable callees are assumed to raise
-nothing — optimistic, which is the right bias for a closed-world escape
-check: the registry must cover what *our* code deliberately raises;
-stdlib surprises are server bugs that surface as generic error
-envelopes, which ``NodeServer`` already handles.
+name is a candidate). One scan per function records what each rule
+family needs, and two fixpoints run over the resolved call sites:
+
+* **may-raise sets** — which exception classes can escape a function,
+  with ``try/except`` filtering, so GEM011 can close the RPC error
+  surface over the wire registry. Unresolvable callees are assumed to
+  raise nothing — optimistic, which is the right bias for a closed-world
+  escape check: the registry must cover what *our* code deliberately
+  raises; stdlib surprises are server bugs that surface as generic error
+  envelopes, which ``NodeServer`` already handles.
+* **yield/lock summaries** — whether a function *may suspend* (a direct
+  ``yield``, or a ``yield from self.<m>()`` into a may-yield method) and
+  which locks it acquires (kernel ``.acquire()`` calls and Redlease RPCs,
+  also through ``yield from self.<m>()``), for GEM007-GEM009 via the
+  :mod:`repro.analysis.interproc` query API. A ``yield from`` into
+  anything but a resolvable ``self`` method conservatively may suspend.
+
+The graph also answers **may-block** questions (which functions reach a
+blocking primitive from the event loop, GEM013) and gives GEM003 its
+``self.<m>()`` edges.
 
 Like everything in geminilint the pass is lexical: only explicit
 ``raise SomeError(...)`` statements seed the may-raise sets, and a
@@ -34,9 +37,11 @@ import ast
 import builtins
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
-from repro.analysis.core import ModuleContext, call_name
+from repro.analysis.core import (CALLABLE_DEFS, ModuleContext, call_name,
+                                 enclosing_callable, op_of_call, walk_own)
 
 __all__ = [
     "FlowFunction",
@@ -84,8 +89,6 @@ DEFAULT_PROJECT_MODULES: Tuple[str, ...] = (
 #: Marker for a bare ``except:`` (catches everything).
 CATCH_ALL = "*"
 
-_CALLABLE = (ast.FunctionDef, ast.AsyncFunctionDef)
-
 #: Calls that block the thread they run on. Bare names are builtins;
 #: dotted names are matched after expanding import aliases.
 _BLOCKING_CALLS = frozenset({
@@ -94,20 +97,17 @@ _BLOCKING_CALLS = frozenset({
 })
 _BLOCKING_PREFIXES = ("subprocess.",)
 
+#: RPC ops that acquire / release the Redlease. All Redleases share one
+#: lock node: two leases on different fragments are interchangeable
+#: instances of the same lock class, so nesting any two of them is an
+#: ordering hazard regardless of which fragments they cover.
+RED_ACQUIRE_OPS = frozenset({"red_acquire"})
+RED_RELEASE_OPS = frozenset({"red_release"})
+RED_LOCK = "redlease"
 
-def enclosing_callable(ctx: ModuleContext,
-                       node: ast.AST) -> Optional[ast.AST]:
-    """Innermost ``def`` or ``async def`` containing ``node``.
-
-    :meth:`ModuleContext.enclosing_function` predates the live runtime
-    and matches only plain ``def``; the flow pass must see both.
-    """
-    current = ctx.parent(node)
-    while current is not None:
-        if isinstance(current, _CALLABLE):
-            return current
-        current = ctx.parent(current)
-    return None
+#: One lock event: (line, col, kind, lock). ``kind`` is "acquire",
+#: "release", or "call:<method>" for ``yield from self.<method>()``.
+LockEvent = Tuple[int, int, str, str]
 
 
 @dataclass(eq=False)
@@ -119,13 +119,34 @@ class FlowFunction:
     class_name: str
     node: Union[ast.FunctionDef, ast.AsyncFunctionDef]
     is_async: bool = False
+    #: Functions defined directly inside this one.
+    inner: List["FlowFunction"] = field(default_factory=list)
     #: ``(exception name, guards)`` for each explicit raise; guards are
     #: the handler-name tuples of every enclosing ``try`` body.
     direct_raises: List[Tuple[str, Tuple[Tuple[str, ...], ...]]] = field(
         default_factory=list)
     call_sites: List["CallSite"] = field(default_factory=list)
+    #: A literal ``yield <expr>`` (always a suspension point).
+    direct_yield: bool = False
+    #: Each ``yield from``, with the call site of its ``self.<m>(...)``
+    #: callee (None for any other delegation target).
+    yield_froms: Dict[ast.YieldFrom, Optional["CallSite"]] = field(
+        default_factory=dict)
+    #: Lock events in source order.
+    lock_events: List[LockEvent] = field(default_factory=list)
     #: Post-fixpoint: exception names that may escape this function.
     raise_set: Set[str] = field(default_factory=set)
+    #: Post-fixpoint: the function may suspend.
+    may_yield: bool = False
+    #: Post-fixpoint: every lock this function (or a method it enters
+    #: via ``yield from self.<m>()``) acquires.
+    acquires: Set[str] = field(default_factory=set)
+
+    def within(self) -> Iterator["FlowFunction"]:
+        """This function and every function nested inside it."""
+        yield self
+        for inner in self.inner:
+            yield from inner.within()
 
 
 @dataclass
@@ -140,6 +161,14 @@ class CallSite:
     name: Optional[str]
     guards: Tuple[Tuple[str, ...], ...]
     targets: List[FlowFunction] = field(default_factory=list)
+
+    @property
+    def self_method(self) -> Optional[str]:
+        """``m`` for a ``self.m(...)`` call, else None."""
+        if self.name is not None and self.name.startswith("self.") \
+                and self.name.count(".") == 1:
+            return self.name[len("self."):]
+        return None
 
 
 @dataclass(eq=False)
@@ -162,6 +191,7 @@ class FlowModule:
         self.classes: Dict[str, FlowClass] = {}
         self.funcs: Dict[str, FlowFunction] = {}
         self.functions: List[FlowFunction] = []
+        self.by_node: Dict[ast.AST, FlowFunction] = {}
         #: ``from X import Y as Z`` -> {"Z": "Y"} (original name).
         self.imports: Dict[str, str] = {}
         #: ``import X as Y`` -> {"Y": "X"} (dotted module).
@@ -169,8 +199,11 @@ class FlowModule:
         self._collect()
 
     def _collect(self) -> None:
+        callables: List[ast.AST] = []
         for node in ast.walk(self.ctx.tree):
-            if isinstance(node, ast.ImportFrom) and node.module:
+            if isinstance(node, CALLABLE_DEFS):
+                callables.append(node)
+            elif isinstance(node, ast.ImportFrom) and node.module:
                 for alias in node.names:
                     self.imports[alias.asname or alias.name] = alias.name
             elif isinstance(node, ast.Import):
@@ -184,9 +217,7 @@ class FlowModule:
                     if name:
                         info.bases.append(name)
                 self.classes[node.name] = info
-        for node in ast.walk(self.ctx.tree):
-            if not isinstance(node, _CALLABLE):
-                continue
+        for node in callables:
             cls = self.ctx.enclosing_class(node)
             class_name = cls.name if cls is not None else ""
             qualname = (f"{class_name}.{node.name}" if class_name
@@ -195,10 +226,13 @@ class FlowModule:
                 qualname=qualname, module=self, class_name=class_name,
                 node=node, is_async=isinstance(node, ast.AsyncFunctionDef))
             self.functions.append(func)
+            self.by_node[node] = func
+            outer = enclosing_callable(self.ctx, node)
+            if outer is not None:
+                self.by_node[outer].inner.append(func)
             if class_name and class_name in self.classes:
                 self.classes[class_name].methods.setdefault(node.name, func)
-            elif not class_name and enclosing_callable(
-                    self.ctx, node) is None:
+            elif not class_name and outer is None:
                 self.funcs.setdefault(node.name, func)
 
     def expand(self, name: str) -> str:
@@ -240,22 +274,37 @@ class FlowProject:
             self._resolve_sites(func)
         self._add_dispatch_edges()
         self._fixpoint_raises()
+        self._fixpoint_yields()
 
     # -- scanning ---------------------------------------------------------
 
     def _scan(self, func: FlowFunction) -> None:
-        ctx = func.module.ctx
-        for node in ast.walk(func.node):
-            if node is func.node:
-                continue
-            if enclosing_callable(ctx, node) is not func.node:
-                continue
+        yield_froms: List[ast.YieldFrom] = []
+        for node in walk_own(func.node):
             if isinstance(node, ast.Raise):
                 self._scan_raise(func, node)
             elif isinstance(node, ast.Call):
                 func.call_sites.append(CallSite(
                     node=node, name=call_name(node),
                     guards=self._guards(func, node)))
+                event = _lock_event(node, func.class_name)
+                if event is not None:
+                    func.lock_events.append(
+                        (node.lineno, node.col_offset) + event)
+            elif isinstance(node, ast.Yield):
+                func.direct_yield = True
+            elif isinstance(node, ast.YieldFrom):
+                yield_froms.append(node)
+        sites = {site.node: site for site in func.call_sites}
+        for node in yield_froms:
+            site = (sites.get(node.value)
+                    if isinstance(node.value, ast.Call) else None)
+            callee = site.self_method if site is not None else None
+            func.yield_froms[node] = site if callee is not None else None
+            if callee is not None:
+                func.lock_events.append(
+                    (node.lineno, node.col_offset, f"call:{callee}", ""))
+        func.lock_events.sort(key=lambda e: (e[0], e[1]))
 
     def _scan_raise(self, func: FlowFunction, node: ast.Raise) -> None:
         guards = self._guards(func, node)
@@ -423,13 +472,14 @@ class FlowProject:
         name = site.name
         if name is None:
             return []
-        segments = name.split(".")
-        if segments[0] == "self" and len(segments) == 2:
+        method = site.self_method
+        if method is not None:
             owner = func.module.classes.get(func.class_name)
             if owner is None:
                 return []
-            target = self.resolve_method(owner, segments[1])
+            target = self.resolve_method(owner, method)
             return [target] if target is not None else []
+        segments = name.split(".")
         if len(segments) == 1:
             return self._resolve_bare(func.module, segments[0])
         # Attribute call on something we cannot type: class-hierarchy
@@ -510,6 +560,30 @@ class FlowProject:
             seen |= {"Exception", "BaseException"}
         self._supers_cache[exc] = seen
         return seen
+
+    # -- may-yield / lock fixpoint ----------------------------------------
+
+    def _fixpoint_yields(self) -> None:
+        """Propagate may-yield and acquired locks up ``yield from
+        self.<m>()`` edges; any other ``yield from`` may suspend."""
+        for func in self.functions:
+            func.may_yield = func.direct_yield or any(
+                site is None or not site.targets
+                for site in func.yield_froms.values())
+            func.acquires = {lock for (_, __, kind, lock) in func.lock_events
+                             if kind == "acquire"}
+        changed = True
+        while changed:
+            changed = False
+            for func in self.functions:
+                for site in func.yield_froms.values():
+                    for target in site.targets if site is not None else ():
+                        if target.may_yield and not func.may_yield:
+                            func.may_yield = True
+                            changed = True
+                        if not target.acquires <= func.acquires:
+                            func.acquires |= target.acquires
+                            changed = True
 
     # -- may-block --------------------------------------------------------
 
@@ -623,6 +697,29 @@ def project_for_context(
 
 # ---------------------------------------------------------------------------
 # small AST helpers
+
+def _lock_event(call: ast.Call, class_name: str) -> Optional[Tuple[str, str]]:
+    """``(kind, lock)`` when ``call`` acquires or releases a lock.
+
+    ``self._lock.acquire()`` inside class C becomes lock ``C._lock`` so
+    the same attribute on different classes stays distinct; Redlease
+    RPCs all map to the one :data:`RED_LOCK`.
+    """
+    op = op_of_call(call)
+    if op in RED_ACQUIRE_OPS:
+        return "acquire", RED_LOCK
+    if op in RED_RELEASE_OPS:
+        return "release", RED_LOCK
+    name = call_name(call)
+    if name is None:
+        return None
+    base, _, kind = name.rpartition(".")
+    if not base or kind not in ("acquire", "release"):
+        return None
+    if base.startswith("self."):
+        base = f"{class_name}.{base[len('self.'):]}"
+    return kind, base
+
 
 def _last_segment(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Attribute):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.analysis.core import (
     Finding,
@@ -38,12 +38,15 @@ from repro.analysis.core import (
     call_name,
     keyword_arg,
     register_rule,
+    walk_own,
 )
 from repro.analysis.flow import (
     EXEMPT_ESCAPES,
     FlowClass,
     FlowFunction,
+    FlowModule,
     FlowProject,
+    _disk_context,
     enclosing_callable,
     find_source_root,
     project_for_context,
@@ -56,13 +59,16 @@ __all__ = [
     "JournalBeforeAck",
     "AsyncioDiscipline",
     "WireSchemaDrift",
+    "SchemaDrift",
+    "schema_drift",
+    "wire_schema",
 ]
 
 _ASYNC_SCOPE = "repro/live"
 
 
 # ---------------------------------------------------------------------------
-# lexical registry extraction (shared by GEM011 and GEM014)
+# lexical codec extraction: GEM011, GEM014 and tools/wire_schema.py
 
 def _const_str(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -172,8 +178,7 @@ def _eval_int(node: ast.AST) -> Optional[int]:
     return None
 
 
-def _str_tuple_constant(ctx: ModuleContext,
-                        name: str) -> Optional[Tuple[str, ...]]:
+def _str_list_constant(ctx: ModuleContext, name: str) -> Optional[List[str]]:
     assign = _module_assign(ctx, name)
     if assign is None or not isinstance(assign.value, (ast.Tuple, ast.List)):
         return None
@@ -182,7 +187,100 @@ def _str_tuple_constant(ctx: ModuleContext,
         value = _const_str(elt)
         if value is not None:
             out.append(value)
-    return tuple(out)
+    return out
+
+
+def _dataclass_fields(project: FlowProject, module: FlowModule,
+                      name: str) -> Optional[List[str]]:
+    """Field names of dataclass ``name`` as :func:`dataclasses.fields`
+    orders them (base classes first), or None when the class cannot be
+    found in the project."""
+    cls = project._resolve_class(module, name)
+    if cls is None:
+        return None
+    fields: List[str] = []
+    for info in reversed(project._mro(cls)):
+        for stmt in info.node.body:
+            if (isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and stmt.target.id not in fields):
+                fields.append(stmt.target.id)
+    return fields
+
+
+def wire_schema(ctx: ModuleContext) -> Optional[Dict[str, Any]]:
+    """The codec's schema — the form ``ci/wire-schema.json`` records —
+    read from the source of the wire module ``ctx``; None when ``ctx``
+    defines no codec registries.
+
+    Dataclass fields come from the class definitions the registry names,
+    looked up in the cross-module project around ``ctx``; a class that
+    cannot be found has fields None (unknown, never drift).
+    """
+    errors = _error_registry(ctx)
+    dataclasses = _dataclass_registry(ctx)
+    if errors is None or dataclasses is None:
+        return None
+    project = project_for_context(ctx)
+    module = next(m for m in project.modules if m.ctx is ctx)
+    return {
+        "wire_version": _int_constant(ctx, "WIRE_VERSION"),
+        "max_frame": _int_constant(ctx, "MAX_FRAME"),
+        "envelope_kinds": _str_list_constant(ctx, "ENVELOPE_KINDS"),
+        "special_forms": _str_list_constant(ctx, "WIRE_SPECIAL_FORMS"),
+        "dataclasses": {name: _dataclass_fields(project, module, name)
+                        for name in sorted(dataclasses[1])},
+        "errors": {name: {"class": cls_name, "attrs": list(attrs)}
+                   for name, (cls_name, attrs) in sorted(errors[1].items())},
+    }
+
+
+class SchemaDrift(NamedTuple):
+    """One difference between the codec and a committed snapshot."""
+
+    #: "new" (codec only), "removed" (snapshot only) or "changed".
+    kind: str
+    #: "dataclass", "error", or a scalar snapshot key ("max_frame", ...).
+    section: str
+    #: Registry entry name; "" for scalar keys.
+    name: str
+    #: Codec side (None when absent).
+    here: Any
+    #: Snapshot side (None when absent).
+    there: Any
+
+
+#: Scalar snapshot keys, with the wire-module constant each records.
+SCHEMA_SCALARS = (("max_frame", "MAX_FRAME"),
+                  ("special_forms", "WIRE_SPECIAL_FORMS"),
+                  ("envelope_kinds", "ENVELOPE_KINDS"))
+
+
+def schema_drift(here: Dict[str, Any],
+                 there: Dict[str, Any]) -> List[SchemaDrift]:
+    """Every difference between two schemas except ``wire_version`` (the
+    version is what a drift must be accompanied by, not drift itself).
+    A dataclass whose fields are unknown on either side matches any
+    field list."""
+    drift: List[SchemaDrift] = []
+    for key, section in (("dataclasses", "dataclass"), ("errors", "error")):
+        ours: Dict[str, Any] = here.get(key) or {}
+        theirs: Dict[str, Any] = there.get(key) or {}
+        for name in sorted(set(ours) - set(theirs)):
+            drift.append(SchemaDrift("new", section, name, ours[name], None))
+        for name in sorted(set(theirs) - set(ours)):
+            drift.append(
+                SchemaDrift("removed", section, name, None, theirs[name]))
+        for name in sorted(set(ours) & set(theirs)):
+            if None not in (ours[name], theirs[name]) \
+                    and ours[name] != theirs[name]:
+                drift.append(SchemaDrift("changed", section, name,
+                                         ours[name], theirs[name]))
+    for key, _ in SCHEMA_SCALARS:
+        if here.get(key) != there.get(key):
+            drift.append(SchemaDrift("changed", key, "", here.get(key),
+                                     there.get(key)))
+    return drift
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +722,7 @@ class AsyncioDiscipline(Rule):
                 acquires.append((site.name[: -len(".acquire")], node))
         if not acquires:
             return findings
-        awaits = [n for n in ast.walk(func.node) if isinstance(n, ast.Await)
-                  and enclosing_callable(ctx, n) is func.node]
+        awaits = [n for n in walk_own(func.node) if isinstance(n, ast.Await)]
         for lock, node in acquires:
             if self._released_in_finally(ctx, func, lock, node):
                 continue
@@ -670,41 +767,19 @@ class AsyncioDiscipline(Rule):
 # ---------------------------------------------------------------------------
 # GEM014
 
-#: Cached (path -> names) wire registries looked up for call-site checks.
-_WIRE_NAMES_CACHE: Dict[str, Optional[Tuple[Tuple[str, ...],
-                                            Tuple[str, ...]]]] = {}
-
-
-def _wire_names_for(ctx: ModuleContext) -> Optional[Tuple[Tuple[str, ...],
-                                                          Tuple[str, ...]]]:
-    """(dataclass names, error names) of the wire module governing
-    ``ctx``: the module itself if it defines the registries, else the
-    tree's ``repro/live/wire.py``."""
-    errors = _error_registry(ctx)
-    dataclasses = _dataclass_registry(ctx)
-    if errors is not None and dataclasses is not None:
-        return dataclasses[1], tuple(sorted(errors[1]))
-    root = find_source_root(ctx.path)
-    if root is None:
-        return None
-    key = str(root)
-    if key not in _WIRE_NAMES_CACHE:
-        result: Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]] = None
-        wire_path = root / "repro" / "live" / "wire.py"
-        try:
-            source = wire_path.read_text(encoding="utf-8")
-            wire_ctx = ModuleContext(
-                path=str(wire_path), source=source,
-                tree=ast.parse(source, filename=str(wire_path)))
-        except (OSError, SyntaxError):
-            wire_ctx = None
-        if wire_ctx is not None:
-            errors = _error_registry(wire_ctx)
-            dataclasses = _dataclass_registry(wire_ctx)
-            if errors is not None and dataclasses is not None:
-                result = (dataclasses[1], tuple(sorted(errors[1])))
-        _WIRE_NAMES_CACHE[key] = result
-    return _WIRE_NAMES_CACHE[key]
+def _wire_dataclass_names(ctx: ModuleContext) -> Optional[Tuple[str, ...]]:
+    """Dataclass registry of the wire module governing ``ctx``: the
+    module itself if it defines the registries, else the tree's
+    ``repro/live/wire.py``."""
+    if _error_registry(ctx) is None or _dataclass_registry(ctx) is None:
+        root = find_source_root(ctx.path)
+        wire = (_disk_context(root / "repro" / "live" / "wire.py")
+                if root is not None else None)
+        if wire is None or _error_registry(wire) is None:
+            return None
+        ctx = wire
+    registry = _dataclass_registry(ctx)
+    return registry[1] if registry is not None else None
 
 
 def _locate_snapshot(ctx: ModuleContext) -> Optional[Path]:
@@ -737,12 +812,12 @@ class WireSchemaDrift(Rule):
     # -- codec vs snapshot ------------------------------------------------
 
     def _check_snapshot(self, ctx: ModuleContext) -> List[Finding]:
-        errors = _error_registry(ctx)
-        dataclasses = _dataclass_registry(ctx)
-        if errors is None or dataclasses is None:
+        schema = wire_schema(ctx)
+        if schema is None:
             return []  # not a wire module
-        anchor, entries = errors
-        _, dataclass_names = dataclasses
+        registry = _error_registry(ctx)
+        assert registry is not None
+        anchor = registry[0]
         snapshot_path = _locate_snapshot(ctx)
         if snapshot_path is None:
             if _in_package(ctx.path, "repro/live"):
@@ -762,11 +837,11 @@ class WireSchemaDrift(Rule):
                 f"regenerate it with 'python tools/wire_schema.py "
                 f"--write'")]
         findings: List[Finding] = []
-        drift = self._drift(ctx, entries, dataclass_names, snapshot)
-        version = _int_constant(ctx, "WIRE_VERSION")
+        drift = schema_drift(schema, snapshot)
+        version = schema["wire_version"]
         snap_version = snapshot.get("wire_version")
         if drift:
-            details = "; ".join(drift)
+            details = "; ".join(self._describe(d) for d in drift)
             if version == snap_version:
                 findings.append(self.finding(
                     ctx, anchor,
@@ -789,43 +864,23 @@ class WireSchemaDrift(Rule):
                 f"'python tools/wire_schema.py --write'"))
         return findings
 
-    def _drift(self, ctx: ModuleContext,
-               entries: Dict[str, Tuple[str, Tuple[str, ...]]],
-               dataclass_names: Tuple[str, ...],
-               snapshot: Dict[str, Any]) -> List[str]:
-        problems: List[str] = []
-        snap_dataclasses = set(snapshot.get("dataclasses", {}))
-        here_dataclasses = set(dataclass_names)
-        for name in sorted(here_dataclasses - snap_dataclasses):
-            problems.append(f"dataclass {name} missing from snapshot")
-        for name in sorted(snap_dataclasses - here_dataclasses):
-            problems.append(f"dataclass {name} gone from codec")
-        snap_errors: Dict[str, Any] = snapshot.get("errors", {})
-        for name in sorted(set(entries) - set(snap_errors)):
-            problems.append(f"error {name} missing from snapshot")
-        for name in sorted(set(snap_errors) - set(entries)):
-            problems.append(f"error {name} gone from codec")
-        for name in sorted(set(entries) & set(snap_errors)):
-            attrs = list(entries[name][1])
-            snap_attrs = list(snap_errors[name].get("attrs", []))
-            if attrs != snap_attrs:
-                problems.append(
-                    f"error {name} attrs {attrs} != snapshot {snap_attrs}")
-        max_frame = _int_constant(ctx, "MAX_FRAME")
-        if max_frame is not None and "max_frame" in snapshot \
-                and max_frame != snapshot["max_frame"]:
-            problems.append(
-                f"MAX_FRAME {max_frame} != snapshot "
-                f"{snapshot['max_frame']}")
-        for constant, key in (("WIRE_SPECIAL_FORMS", "special_forms"),
-                              ("ENVELOPE_KINDS", "envelope_kinds")):
-            here = _str_tuple_constant(ctx, constant)
-            if here is not None and key in snapshot \
-                    and list(here) != list(snapshot[key]):
-                problems.append(
-                    f"{constant} {list(here)} != snapshot "
-                    f"{list(snapshot[key])}")
-        return problems
+    @staticmethod
+    def _describe(drift: SchemaDrift) -> str:
+        kind, section, name, here, there = drift
+        if not name:
+            constant = dict(SCHEMA_SCALARS)[section]
+            return f"{constant} {here} != snapshot {there}"
+        if kind == "new":
+            return f"{section} {name} missing from snapshot"
+        if kind == "removed":
+            return f"{section} {name} gone from codec"
+        if section == "dataclass":
+            return f"dataclass {name} fields {here} != snapshot {there}"
+        if here["class"] != there.get("class"):
+            return (f"error {name} class {here['class']} != snapshot "
+                    f"{there.get('class')}")
+        return (f"error {name} attrs {here['attrs']} != snapshot "
+                f"{there.get('attrs', [])}")
 
     # -- dataclasses reaching Transport.call ------------------------------
 
@@ -849,12 +904,11 @@ class WireSchemaDrift(Rule):
             if not type_name[:1].isupper():
                 continue
             if not loaded:
-                names = _wire_names_for(ctx)
+                names = _wire_dataclass_names(ctx)
                 loaded = True
             if names is None:
                 return findings  # no governing wire module: nothing to say
-            dataclass_names, _ = names
-            if type_name not in dataclass_names:
+            if type_name not in names:
                 findings.append(self.finding(
                     ctx, request,
                     f"{type_name} crosses Transport.call but is not in "

@@ -1,19 +1,20 @@
-"""Interprocedural summaries for the GeminiSan static rules.
+"""Yield/lock summaries for the GeminiSan static rules.
 
-The per-function rules (GEM001-GEM006) treat each ``def`` in isolation.
 The interleaving rules (GEM007-GEM009, :mod:`repro.analysis.interleave`)
-need two module-level facts:
+need two module-level facts about every generator ``def``:
 
 * **yield summaries** — whether a function *may suspend* (a direct
-  ``yield``, or a ``yield from`` into a may-yield callee, propagated to
-  a fixpoint over the per-class ``self.<method>()`` call graph — the
-  same graph GEM003 walks for Redlease reachability). In this kernel a
-  plain call can never suspend; only ``yield``/``yield from`` can, and
-  ``yield from`` suspends only if the callee does.
+  ``yield``, or a ``yield from`` into a may-yield method). In this
+  kernel a plain call can never suspend; only ``yield``/``yield from``
+  can, and ``yield from`` suspends only if the callee does.
 * **lock summaries** — which locks a function acquires/releases, both
   kernel semaphores (``yield x.acquire()``) and Redleases (RPCs
   carrying ``op="red_acquire"``), including acquisitions reached through
   ``yield from`` into sibling methods.
+
+Both are fixpoints over the one call graph,
+:class:`repro.analysis.flow.FlowProject` (built for the module alone);
+this module is the query view the rules read them through.
 
 Everything here is lexical: a summary describes the function's source,
 not a path-sensitive execution. That is the right fidelity for lint —
@@ -24,214 +25,41 @@ path-sensitive version of the same questions.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict
 
-from repro.analysis.core import (ModuleContext, call_name, dotted_name,
-                                 keyword_arg)
+from repro.analysis.core import ModuleContext, op_of_call
+from repro.analysis.flow import FlowFunction, single_module_project
 
 __all__ = [
-    "FunctionSummary",
     "ModuleSummaries",
     "build_summaries",
     "op_of_call",
-    "lock_id_of_acquire",
 ]
-
-#: RPC ops that acquire / release the Redlease. All Redleases share one
-#: lock node: two leases on different fragments are interchangeable
-#: instances of the same lock class, so nesting any two of them is an
-#: ordering hazard regardless of which fragments they cover.
-RED_ACQUIRE_OPS = frozenset({"red_acquire"})
-RED_RELEASE_OPS = frozenset({"red_release"})
-RED_LOCK = "redlease"
-
-
-def op_of_call(call: ast.Call) -> Optional[str]:
-    """The protocol op a call carries, across both op-building idioms.
-
-    ``CacheOp(op="get_dirty", ...)`` / ``self._cfg(cfg, op="...")`` pass
-    the op as a keyword; client sessions use ``self._op("get_dirty",
-    cfg, ...)`` with the op as the first positional argument.
-    """
-    value = keyword_arg(call, "op")
-    if isinstance(value, ast.Constant) and isinstance(value.value, str):
-        return value.value
-    name = call_name(call)
-    if name is not None and name.split(".")[-1] == "_op" and call.args:
-        first = call.args[0]
-        if isinstance(first, ast.Constant) and isinstance(first.value, str):
-            return first.value
-    return None
-
-
-def lock_id_of_acquire(call: ast.Call, class_name: str) -> Optional[str]:
-    """Lock identity for an ``<expr>.acquire()`` call, or None.
-
-    ``self._lock.acquire()`` inside class C becomes ``C._lock`` so the
-    same attribute on different classes stays distinct in the module's
-    acquisition-order graph.
-    """
-    name = call_name(call)
-    if name is None or not name.endswith(".acquire"):
-        return None
-    base = name[: -len(".acquire")]
-    if base.startswith("self."):
-        return f"{class_name}.{base[len('self.'):]}"
-    return base
-
-
-def _lock_id_of_release(call: ast.Call, class_name: str) -> Optional[str]:
-    name = call_name(call)
-    if name is None or not name.endswith(".release"):
-        return None
-    base = name[: -len(".release")]
-    if base.startswith("self."):
-        return f"{class_name}.{base[len('self.'):]}"
-    return base
-
-
-@dataclass
-class FunctionSummary:
-    """Lexical facts about one function, pre- and post-fixpoint."""
-
-    qualname: str
-    node: ast.FunctionDef
-    class_name: str = ""
-    #: A literal ``yield <expr>`` (always a suspension point).
-    direct_yield: bool = False
-    #: Callee names behind each ``yield from self.<m>(...)``.
-    yield_from_self: Set[str] = field(default_factory=set)
-    #: A ``yield from`` whose callee is not a resolvable sibling method
-    #: (module function, external call): conservatively may-yield.
-    yield_from_unresolved: bool = False
-    #: Every ``self.<m>(...)`` callee (the GEM003 call-graph edges).
-    self_calls: Set[str] = field(default_factory=set)
-    #: Ordered (line, col, kind, lock) lock events; kind is "acquire",
-    #: "release", or "call:<method>" for yield-from into a sibling.
-    lock_events: List[Tuple[int, int, str, str]] = field(
-        default_factory=list)
-    #: Post-fixpoint: the function may suspend.
-    may_yield: bool = False
-    #: Post-fixpoint: every lock this function (or a sibling it enters
-    #: via ``yield from``) acquires.
-    acquires: Set[str] = field(default_factory=set)
 
 
 class ModuleSummaries:
-    """Per-function summaries for one module, fixpoint applied."""
+    """Yield/lock summaries of every plain ``def`` in one module."""
 
     def __init__(self, ctx: ModuleContext) -> None:
         self.ctx = ctx
-        self.by_node: Dict[ast.FunctionDef, FunctionSummary] = {}
-        #: class name -> method name -> summary (self-call resolution).
-        self.methods: Dict[str, Dict[str, FunctionSummary]] = {}
-        self._build()
-        self._fixpoint()
+        project = single_module_project(ctx)
+        module = project.modules[0]
+        self.by_node: Dict[ast.AST, FlowFunction] = {
+            func.node: func for func in module.functions
+            if not func.is_async}
+        #: class name -> method name -> the definition ``self.<name>``
+        #: resolves to (inherited methods included).
+        self.methods: Dict[str, Dict[str, FlowFunction]] = {}
+        for name, cls in module.classes.items():
+            table: Dict[str, FlowFunction] = {}
+            for info in reversed(project._mro(cls)):
+                table.update(info.methods)
+            self.methods[name] = table
 
-    # -- construction ---------------------------------------------------
-
-    def _build(self) -> None:
-        for node in ast.walk(self.ctx.tree):
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            cls = self.ctx.enclosing_class(node)
-            class_name = cls.name if cls is not None else ""
-            qualname = (f"{class_name}.{node.name}" if class_name
-                        else node.name)
-            summary = FunctionSummary(qualname=qualname, node=node,
-                                      class_name=class_name)
-            self._scan(summary)
-            self.by_node[node] = summary
-            if class_name:
-                self.methods.setdefault(class_name, {})[node.name] = summary
-
-    def _scan(self, summary: FunctionSummary) -> None:
-        func = summary.node
-        for node in ast.walk(func):
-            if self.ctx.enclosing_function(node) is not func:
-                continue
-            if isinstance(node, ast.Yield):
-                summary.direct_yield = True
-            elif isinstance(node, ast.YieldFrom):
-                callee = self._self_callee(node.value)
-                if callee is None:
-                    summary.yield_from_unresolved = True
-                else:
-                    summary.yield_from_self.add(callee)
-                    summary.lock_events.append(
-                        (node.lineno, node.col_offset,
-                         f"call:{callee}", ""))
-            if isinstance(node, ast.Call):
-                name = call_name(node)
-                if (name is not None and name.startswith("self.")
-                        and name.count(".") == 1):
-                    summary.self_calls.add(name.split(".", 1)[1])
-                lock = lock_id_of_acquire(node, summary.class_name)
-                if lock is not None:
-                    summary.lock_events.append(
-                        (node.lineno, node.col_offset, "acquire", lock))
-                lock = _lock_id_of_release(node, summary.class_name)
-                if lock is not None:
-                    summary.lock_events.append(
-                        (node.lineno, node.col_offset, "release", lock))
-                op = op_of_call(node)
-                if op in RED_ACQUIRE_OPS:
-                    summary.lock_events.append(
-                        (node.lineno, node.col_offset, "acquire", RED_LOCK))
-                elif op in RED_RELEASE_OPS:
-                    summary.lock_events.append(
-                        (node.lineno, node.col_offset, "release", RED_LOCK))
-        summary.lock_events.sort(key=lambda e: (e[0], e[1]))
-
-    @staticmethod
-    def _self_callee(value: ast.expr) -> Optional[str]:
-        """``self.<m>`` behind ``yield from self.<m>(...)``, else None."""
-        if isinstance(value, ast.Call):
-            name = call_name(value)
-            if (name is not None and name.startswith("self.")
-                    and name.count(".") == 1):
-                return name.split(".", 1)[1]
-        return None
-
-    # -- fixpoint --------------------------------------------------------
-
-    def _fixpoint(self) -> None:
-        summaries = list(self.by_node.values())
-        for summary in summaries:
-            summary.may_yield = (summary.direct_yield
-                                 or summary.yield_from_unresolved)
-            summary.acquires = {lock for (_, __, kind, lock)
-                                in summary.lock_events
-                                if kind == "acquire"}
-        changed = True
-        while changed:
-            changed = False
-            for summary in summaries:
-                siblings = self.methods.get(summary.class_name, {})
-                for callee in summary.yield_from_self:
-                    target = siblings.get(callee)
-                    if target is None:
-                        # yield from self.<m> with no such sibling in
-                        # this module: conservatively may-yield.
-                        if not summary.may_yield:
-                            summary.may_yield = True
-                            changed = True
-                        continue
-                    if target.may_yield and not summary.may_yield:
-                        summary.may_yield = True
-                        changed = True
-                    if not target.acquires <= summary.acquires:
-                        summary.acquires |= target.acquires
-                        changed = True
-
-    # -- queries ---------------------------------------------------------
-
-    def summary(self, node: ast.FunctionDef) -> FunctionSummary:
+    def summary(self, node: ast.AST) -> FlowFunction:
         return self.by_node[node]
 
-    def suspends(self, node: ast.AST,
-                 owner: FunctionSummary) -> bool:
+    def suspends(self, node: ast.AST, owner: FlowFunction) -> bool:
         """Does this ``Yield``/``YieldFrom`` actually suspend?
 
         A bare ``yield`` always does. ``yield from self.m()`` suspends
@@ -241,11 +69,9 @@ class ModuleSummaries:
         if isinstance(node, ast.Yield):
             return True
         if isinstance(node, ast.YieldFrom):
-            callee = self._self_callee(node.value)
-            if callee is None:
-                return True
-            target = self.methods.get(owner.class_name, {}).get(callee)
-            return target is None or target.may_yield
+            site = owner.yield_froms.get(node)
+            return site is None or not site.targets or any(
+                target.may_yield for target in site.targets)
         return False
 
 

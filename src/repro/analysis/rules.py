@@ -27,10 +27,11 @@ from repro.analysis.core import (
     Rule,
     call_name,
     dotted_name,
-    keyword_arg,
+    op_of_call,
     register_rule,
     walk_in_function,
 )
+from repro.analysis.flow import single_module_project
 
 __all__ = [
     "WallClockAndGlobalRandomness",
@@ -96,19 +97,6 @@ def _in_package(path: str, package: str) -> bool:
     Windows separators."""
     normalized = "/" + path.replace("\\", "/")
     return f"/{package}/" in normalized
-
-
-def _functions(ctx: ModuleContext) -> List[ast.FunctionDef]:
-    return [node for node in ast.walk(ctx.tree)
-            if isinstance(node, ast.FunctionDef)]
-
-
-def _op_constant(call: ast.Call) -> Optional[str]:
-    """The ``op="..."`` keyword of a call, when it is a string literal."""
-    value = keyword_arg(call, "op")
-    if isinstance(value, ast.Constant) and isinstance(value.value, str):
-        return value.value
-    return None
 
 
 def _method_map(cls: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
@@ -243,15 +231,16 @@ class UnawaitedSimPrimitive(Rule):
 
     def check(self, ctx: ModuleContext) -> List[Finding]:
         findings: List[Finding] = []
-        for func in _functions(ctx):
-            findings.extend(self._check_function(ctx, func))
+        for func in single_module_project(ctx).modules[0].functions:
+            if isinstance(func.node, ast.FunctionDef):
+                findings.extend(self._check_function(ctx, func.node))
         return findings
 
     def _check_function(self, ctx: ModuleContext,
                         func: ast.FunctionDef) -> List[Finding]:
         findings: List[Finding] = []
         # (a) bare expression statements dropping a waitable
-        for stmt in walk_in_function(ctx, func, (ast.Expr,)):
+        for stmt in walk_in_function(func, (ast.Expr,)):
             assert isinstance(stmt, ast.Expr)
             if isinstance(stmt.value, ast.Call):
                 name = self._is_waitable_factory(stmt.value)
@@ -266,7 +255,7 @@ class UnawaitedSimPrimitive(Rule):
         for node in ast.walk(func):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loads.add(node.id)
-        for stmt in walk_in_function(ctx, func, (ast.Assign,)):
+        for stmt in walk_in_function(func, (ast.Assign,)):
             assert isinstance(stmt, ast.Assign)
             if not isinstance(stmt.value, ast.Call):
                 continue
@@ -318,37 +307,25 @@ class UnguardedDirtyMutation(Rule):
                 findings.extend(self._check_class(ctx, node))
         return findings
 
-    def _ops_issued(self, method: ast.FunctionDef) -> Set[str]:
-        ops: Set[str] = set()
-        for node in ast.walk(method):
-            if isinstance(node, ast.Call):
-                op = _op_constant(node)
-                if op is not None:
-                    ops.add(op)
-        return ops
-
-    def _self_calls(self, method: ast.FunctionDef) -> Set[str]:
-        """Names of methods invoked as ``self.<name>(...)`` anywhere."""
-        out: Set[str] = set()
-        for node in ast.walk(method):
-            if isinstance(node, ast.Call):
-                name = call_name(node)
-                if name is not None and name.startswith("self.") \
-                        and name.count(".") == 1:
-                    out.add(name.split(".")[1])
-        return out
-
     def _check_class(self, ctx: ModuleContext,
                      cls: ast.ClassDef) -> List[Finding]:
-        methods = _method_map(cls)
-        ops = {name: self._ops_issued(node) for name, node in methods.items()}
+        module = single_module_project(ctx).modules[0]
+        # A method's calls include those of closures defined inside it.
+        methods = {node.name: list(module.by_node[node].within())
+                   for node in cls.body if isinstance(node, ast.FunctionDef)}
+        ops = {name: {op for func in funcs for site in func.call_sites
+                      if site.node is not None
+                      and (op := op_of_call(site.node)) is not None}
+               for name, funcs in methods.items()}
         guards = {name for name, issued in ops.items()
                   if "red_acquire" in issued}
         callers: Dict[str, Set[str]] = {name: set() for name in methods}
-        for name, node in methods.items():
-            for callee in self._self_calls(node):
-                if callee in callers:
-                    callers[callee].add(name)
+        for name, funcs in methods.items():
+            for func in funcs:
+                for site in func.call_sites:
+                    callee = site.self_method
+                    if callee is not None and callee in callers:
+                        callers[callee].add(name)
 
         # A method is unguarded-reachable when some caller chain reaches
         # an entry point without passing a guard-establishing method.
@@ -372,7 +349,7 @@ class UnguardedDirtyMutation(Rule):
             return result
 
         findings: List[Finding] = []
-        for name, node in methods.items():
+        for name, funcs in methods.items():
             mutating = ops[name] & self._MUTATING_OPS
             if not mutating:
                 continue
@@ -380,7 +357,7 @@ class UnguardedDirtyMutation(Rule):
                 continue  # mutates inside the acquire/release bracket
             if unguarded(name, ()):
                 findings.append(self.finding(
-                    ctx, node,
+                    ctx, funcs[0].node,
                     f"{cls.name}.{name} issues mutating op(s) "
                     f"{sorted(mutating)} but is reachable without passing "
                     f"through a red_acquire-guarded pass"))

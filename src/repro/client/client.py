@@ -32,7 +32,6 @@ from repro.metrics.recorder import OpRecorder
 from repro.recovery.policies import RecoveryPolicy
 from repro.runtime import Kernel, Transport
 from repro.sim.core import SimGenerator
-from repro.sim.rng import fallback_stream
 from repro.types import CACHE_MISS, FragmentMode, Value
 from repro.verify.events import EventLog
 from repro.verify.oracle import ConsistencyOracle
@@ -55,7 +54,8 @@ class GeminiClient:
                  name: str = "client",
                  oracle: Optional[ConsistencyOracle] = None,
                  recorder: Optional[OpRecorder] = None,
-                 rng: Optional[random.Random] = None,
+                 *,
+                 rng: random.Random,
                  backoff_base: float = 0.001,
                  backoff_cap: float = 0.016,
                  suspension_delay: float = 0.02,
@@ -72,7 +72,7 @@ class GeminiClient:
         self.name = name
         self.oracle = oracle
         self.recorder = recorder
-        self.rng = fallback_stream(rng, f"client.{name}")
+        self.rng = rng
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.suspension_delay = suspension_delay
@@ -87,9 +87,23 @@ class GeminiClient:
     # Configuration plumbing
     # ------------------------------------------------------------------
     def _adopt(self, config: Configuration) -> bool:
-        """Adopt a configuration if strictly newer; emit the observation."""
+        """Adopt a configuration if strictly newer; emit the observation.
+
+        Every adoption path (push, refresh, bootstrap) comes through
+        here, so here the dirty-list copies it makes stale are dropped:
+        those of fragments that left recovery mode, and every copy when
+        configurations were skipped — a fragment may have left recovery
+        and re-entered it in between, with keys dirtied that the copy
+        never saw.
+        """
+        previous = self.cache.config_id if self.cache.ready else None
         if not self.cache.adopt(config):
             return False
+        skipped = previous is not None and config.config_id > previous + 1
+        for fragment in config.fragments:
+            if fragment.fragment_id in self._dirty and (
+                    skipped or fragment.mode is not FragmentMode.RECOVERY):
+                del self._dirty[fragment.fragment_id]
         if self.event_log is not None:
             self.event_log.emit("config_observed", actor=self.name,
                                 config_id=config.config_id)
@@ -97,13 +111,7 @@ class GeminiClient:
 
     def on_config(self, config: Configuration) -> None:
         """Coordinator push (subscribe this method on the coordinator)."""
-        if not self._adopt(config):
-            return
-        # Drop dirty copies of fragments that left recovery mode.
-        for fragment in config.fragments:
-            if (fragment.fragment_id in self._dirty
-                    and fragment.mode is not FragmentMode.RECOVERY):
-                del self._dirty[fragment.fragment_id]
+        self._adopt(config)
 
     def bootstrap(self) -> SimGenerator:
         """Fetch the initial configuration (a process to yield from)."""

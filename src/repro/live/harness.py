@@ -27,21 +27,21 @@ import asyncio
 import json
 import os
 import signal
-import socket
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.client.client import GeminiClient
 from repro.coordinator.coordinator import CoordinatorOp
-from repro.errors import NetworkError, ReproError
+from repro.errors import Interrupt, NetworkError, ReproError
 from repro.harness.cluster import ClusterSpec
 from repro.live.kernel import LiveKernel
 from repro.live.transport import LiveTransport
 from repro.metrics.recorder import OpRecorder
 from repro.metrics.recovery import RecoveryRecorder
 from repro.recovery.worker import RecoveryWorker
-from repro.sim.core import SimGenerator
+from repro.sim.core import Process, SimGenerator
+from repro.sim.rng import RngRegistry
 from repro.types import FragmentMode
 from repro.verify.events import EventLog
 from repro.verify.oracle import ConsistencyOracle
@@ -52,12 +52,6 @@ __all__ = ["LiveCluster", "LiveLoadResult"]
 
 #: How long to wait for a node's READY line before declaring boot failed.
 _BOOT_TIMEOUT = 30.0
-
-
-def _free_port(host: str) -> int:
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
-        probe.bind((host, 0))
-        return probe.getsockname()[1]
 
 
 class LiveLoadResult:
@@ -105,11 +99,13 @@ class LiveCluster:
         self.kernel: Optional[LiveKernel] = None
         self.transport: Optional[LiveTransport] = None
         self.oracle = ConsistencyOracle(strict=spec.strict_oracle)
-        self.recorder = OpRecorder()
+        self.rng = RngRegistry(spec.seed)
+        self.recorder = OpRecorder(rng_registry=self.rng)
         self.recovery_recorder = RecoveryRecorder()
         self.events = EventLog(clock=lambda: self._now(), keep=True)
         self.clients: List[GeminiClient] = []
         self.workers: List[RecoveryWorker] = []
+        self._poller: Optional[Process] = None
         self._last_config_id = 0
 
     def _now(self) -> float:
@@ -117,18 +113,19 @@ class LiveCluster:
 
     # -- boot --------------------------------------------------------------
     async def start(self) -> None:
-        """Assign ports, write the registry, boot every node process."""
-        for address in ["datastore", "coordinator", *self.instance_addresses]:
-            self.registry[address] = (self.host, _free_port(self.host))
-        self.registry_path.write_text(json.dumps(
-            {a: list(e) for a, e in self.registry.items()}, indent=2))
+        """Boot every node process, then the harness's clients/workers.
 
+        Each node binds a port of its own choosing and announces it on
+        its READY line; the coordinator, the one node that dials others
+        at boot, starts once the registry file lists them all.
+        """
         await self._spawn("datastore", "datastore", {
             "record_count": self.record_count,
             "record_size": self.record_size,
         })
         for address in self.instance_addresses:
             await self._spawn("cache", address, self._cache_spec())
+        self._write_registry()
         await self._spawn("coordinator", "coordinator", {
             "instances": self.instance_addresses,
             "num_fragments": self.spec.num_fragments,
@@ -137,6 +134,7 @@ class LiveCluster:
             "wst_max_duration": self.wst_max_duration,
             "heartbeat_interval": self.heartbeat_interval,
         })
+        self._write_registry()
 
         self.kernel = LiveKernel()
         self.transport = LiveTransport(self.kernel, self.registry)
@@ -145,7 +143,9 @@ class LiveCluster:
             client = GeminiClient(
                 self.kernel, self.transport, policy,
                 name=f"client-{index}", oracle=self.oracle,
-                recorder=self.recorder, event_log=self.events)
+                recorder=self.recorder,
+                rng=self.rng.stream(f"client-{index}"),
+                event_log=self.events)
             await self.kernel.run_process(client.bootstrap(),
                                           name=f"bootstrap:{client.name}")
             self.clients.append(client)
@@ -155,12 +155,18 @@ class LiveCluster:
             worker = RecoveryWorker(
                 self.kernel, self.transport, policy,
                 name=f"worker-{index}",
+                rng=self.rng.stream(f"worker-{index}"),
                 recovery_recorder=self.recovery_recorder,
                 event_log=self.events)
             worker.on_config(config)
             worker.start()
             self.workers.append(worker)
-        self.kernel.process(self._config_poller(), name="config-poller")
+        self._poller = self.kernel.process(self._config_poller(),
+                                           name="config-poller")
+
+    def _write_registry(self) -> None:
+        self.registry_path.write_text(json.dumps(
+            {a: list(e) for a, e in self.registry.items()}, indent=2))
 
     def _cache_spec(self) -> Dict[str, Any]:
         memory = (self.spec.memory_bytes if self.spec.memory_bytes is not None
@@ -185,7 +191,8 @@ class LiveCluster:
         proc = await asyncio.create_subprocess_exec(
             sys.executable, "-m", "repro.live", "node",
             "--role", role, "--address", address,
-            "--port", str(self.registry[address][1]),
+            # A restarted node reclaims the port it announced first.
+            "--port", str(self.registry.get(address, (self.host, 0))[1]),
             "--registry", str(self.registry_path),
             "--workdir", str(self.workdir),
             "--spec", json.dumps(spec),
@@ -197,6 +204,7 @@ class LiveCluster:
             raise ReproError(
                 f"node {address} failed to boot (got {line!r}); see "
                 f"{self.workdir / (address + '.stderr.log')}")
+        self.registry[address] = (self.host, int(line.split()[2]))
 
     # -- config / wst plumbing --------------------------------------------
     async def get_config(self) -> Any:
@@ -212,6 +220,8 @@ class LiveCluster:
                 config = yield self.transport.call(
                     "coordinator", CoordinatorOp(op="get_config"),
                     timeout=1.0)
+            except Interrupt:
+                raise  # stop() ends the poller
             except (NetworkError, ReproError):
                 continue
             if config.config_id != self._last_config_id:
@@ -238,6 +248,8 @@ class LiveCluster:
                                                "episode": episode,
                                                **counts}),
                         timeout=1.0)
+                except Interrupt:
+                    raise  # stop() ends the poller
                 except (NetworkError, ReproError):
                     return
 
@@ -309,7 +321,13 @@ class LiveCluster:
 
     # -- teardown / reporting ----------------------------------------------
     async def stop(self) -> None:
-        """SIGTERM every node and close the transport."""
+        """End the config poller and the recovery workers, close the
+        transport and SIGTERM every node."""
+        if self._poller is not None:
+            self._poller.interrupt("stopped")
+            self._poller = None
+        for worker in self.workers:
+            worker.stop()
         if self.transport is not None:
             await self.transport.close()
         for proc in self._procs.values():

@@ -13,7 +13,6 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.bucketing import bucket_index
-from repro.sim.rng import fallback_stream
 
 __all__ = ["percentile", "LatencyReservoir"]
 
@@ -40,14 +39,13 @@ class _Reservoir:
 class LatencyReservoir:
     """Per-time-bucket latency reservoirs."""
 
-    def __init__(self, bucket_width: float = 1.0, capacity: int = 512,
-                 seed: int = 17,
-                 rng: Optional[random.Random] = None):
+    def __init__(self, bucket_width: float = 1.0, capacity: int = 512, *,
+                 rng: random.Random):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.bucket_width = bucket_width
         self.capacity = capacity
-        self._rng = fallback_stream(rng, "metrics.latency", seed)
+        self._rng = rng
         self._buckets: Dict[int, _Reservoir] = {}
         self._all = _Reservoir()
         self._exact_sum = 0.0

@@ -25,20 +25,18 @@ class OpRecorder:
 
     def __init__(self, bucket_width: float = 1.0,
                  latency_capacity: int = 512,
-                 rng_registry: Optional[RngRegistry] = None):
+                 *, rng_registry: RngRegistry):
         self.bucket_width = bucket_width
         self.throughput = TimeSeries(bucket_width)
         self.hit_ratio = WindowedCounter(bucket_width)
         # Reservoir sampling draws from named registry streams so the
         # summaries are reproducible from the experiment seed alone.
-        read_rng = (rng_registry.stream("metrics.read_latency")
-                    if rng_registry is not None else None)
-        write_rng = (rng_registry.stream("metrics.write_latency")
-                     if rng_registry is not None else None)
-        self.read_latency = LatencyReservoir(bucket_width, latency_capacity,
-                                             rng=read_rng)
-        self.write_latency = LatencyReservoir(bucket_width, latency_capacity,
-                                              rng=write_rng)
+        self.read_latency = LatencyReservoir(
+            bucket_width, latency_capacity,
+            rng=rng_registry.stream("metrics.read_latency"))
+        self.write_latency = LatencyReservoir(
+            bucket_width, latency_capacity,
+            rng=rng_registry.stream("metrics.write_latency"))
         #: Hit ratio keyed by the instance that served the lookup.
         self.per_instance_hits: Dict[str, WindowedCounter] = {}
         self.reads = 0

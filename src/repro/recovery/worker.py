@@ -50,7 +50,6 @@ from repro.config.configuration import Configuration, FragmentInfo
 from repro.recovery.policies import RecoveryPolicy
 from repro.runtime import Kernel, Transport
 from repro.sim.core import Process, SimGenerator
-from repro.sim.rng import fallback_stream
 from repro.types import CACHE_MISS, FragmentMode
 from repro.verify.events import EventLog
 
@@ -67,7 +66,8 @@ class RecoveryWorker:
                  coordinator_address: str = "coordinator",
                  name: str = "worker",
                  scan_interval: float = 0.05,
-                 rng: Optional[random.Random] = None,
+                 *,
+                 rng: random.Random,
                  recovery_recorder: Optional[RecoveryRecorder] = None,
                  event_log: Optional[EventLog] = None) -> None:
         self.sim = sim
@@ -78,7 +78,7 @@ class RecoveryWorker:
         self.coordinator_address = coordinator_address
         self.name = name
         self.scan_interval = scan_interval
-        self.rng = fallback_stream(rng, f"recovery-worker.{name}")
+        self.rng = rng
         self.recovery = recovery_recorder
         self.config: Optional[Configuration] = None
         self.fragments_recovered = 0

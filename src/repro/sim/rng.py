@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-import warnings
-from typing import Dict, Optional
+from typing import Dict
 
-__all__ = ["RngRegistry", "fallback_stream"]
+__all__ = ["RngRegistry"]
 
 
 class RngRegistry:
@@ -40,29 +39,3 @@ class RngRegistry:
         """Derive a child registry (e.g. one per experiment repetition)."""
         digest = hashlib.sha256(f"{self.seed}:fork:{name}".encode()).digest()
         return RngRegistry(int.from_bytes(digest[:8], "big"))
-
-
-def fallback_stream(rng: Optional[random.Random], owner: str,
-                    seed: int = 0) -> random.Random:
-    """Return ``rng``, or a deprecated fixed-seed fallback stream.
-
-    Components must be handed a stream from :class:`RngRegistry`;
-    constructing ``random.Random(0)`` silently at each call site scatters
-    seed derivation across the tree and couples unrelated consumers. The
-    fallback keeps old call sites working (same ``Random(seed)`` draw
-    sequence as before, so recorded fingerprints do not move) but warns:
-    it will become an error once every caller injects a stream.
-    """
-    if rng is not None:
-        return rng
-    warnings.warn(
-        f"{owner}: no rng stream injected; falling back to "
-        f"random.Random({seed}). Pass an RngRegistry stream instead "
-        f"(e.g. registry.stream({owner!r})).",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    # Deprecation shim: the legacy fixed-seed fallback lives here (with
-    # a warning) so no other module constructs random.Random directly.
-    # geminilint: disable=GEM001 -- documented deprecation fallback, warns on use
-    return random.Random(seed)

@@ -19,7 +19,6 @@ import random
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.sim.rng import fallback_stream
 
 __all__ = ["ZipfianGenerator", "UniformGenerator", "HotspotGenerator"]
 
@@ -27,15 +26,15 @@ __all__ = ["ZipfianGenerator", "UniformGenerator", "HotspotGenerator"]
 class ZipfianGenerator:
     """Zipfian ranks over [0, n) with exponent ``theta``."""
 
-    def __init__(self, n: int, theta: float = 0.99,
-                 rng: random.Random | None = None):
+    def __init__(self, n: int, theta: float = 0.99, *,
+                 rng: random.Random):
         if n <= 0:
             raise WorkloadError("n must be positive")
         if theta <= 0:
             raise WorkloadError("theta must be positive")
         self.n = n
         self.theta = theta
-        self.rng = fallback_stream(rng, "workload.zipfian")
+        self.rng = rng
         weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), theta)
         self._cdf = np.cumsum(weights)
         self._cdf /= self._cdf[-1]
@@ -56,11 +55,11 @@ class ZipfianGenerator:
 class UniformGenerator:
     """Uniform ranks over [0, n)."""
 
-    def __init__(self, n: int, rng: random.Random | None = None):
+    def __init__(self, n: int, *, rng: random.Random):
         if n <= 0:
             raise WorkloadError("n must be positive")
         self.n = n
-        self.rng = fallback_stream(rng, "workload.uniform")
+        self.rng = rng
 
     def next(self) -> int:
         return self.rng.randrange(self.n)
@@ -71,8 +70,7 @@ class HotspotGenerator:
     of the accesses; the rest are uniform over the cold set."""
 
     def __init__(self, n: int, hot_fraction: float = 0.2,
-                 hot_probability: float = 0.8,
-                 rng: random.Random | None = None):
+                 hot_probability: float = 0.8, *, rng: random.Random):
         if n <= 0:
             raise WorkloadError("n must be positive")
         if not 0 < hot_fraction < 1:
@@ -82,7 +80,7 @@ class HotspotGenerator:
         self.n = n
         self.hot_count = max(1, int(n * hot_fraction))
         self.hot_probability = hot_probability
-        self.rng = fallback_stream(rng, "workload.hotspot")
+        self.rng = rng
 
     def next(self) -> int:
         if self.rng.random() < self.hot_probability:

@@ -21,7 +21,6 @@ import random
 from typing import Iterator, Optional
 
 from repro.errors import WorkloadError
-from repro.sim.rng import fallback_stream
 from repro.workload.distributions import ZipfianGenerator
 from repro.workload.keyspace import KeySpace
 from repro.workload.trace import TraceRecord
@@ -43,8 +42,7 @@ def _lognormal_params(mean: float, sigma: float) -> float:
 class FacebookWorkload:
     """Open-loop Facebook-like request stream."""
 
-    def __init__(self, record_count: int = 20_000,
-                 rng: Optional[random.Random] = None,
+    def __init__(self, record_count: int = 20_000, *, rng: random.Random,
                  read_fraction: float = READ_FRACTION,
                  mean_inter_arrival: float = 1e-4,
                  zipf_theta: float = 0.99,
@@ -52,7 +50,7 @@ class FacebookWorkload:
                  keyspace: Optional[KeySpace] = None):
         if mean_inter_arrival <= 0:
             raise WorkloadError("mean_inter_arrival must be positive")
-        self.rng = fallback_stream(rng, "workload.facebook")
+        self.rng = rng
         self.read_fraction = read_fraction
         self.mean_inter_arrival = mean_inter_arrival
         self.value_sigma = value_sigma

@@ -529,6 +529,31 @@ class TestWireSchemaDrift:
         assert [f.code for f in findings] == ["GEM014"]
         assert "MAX_FRAME 8192" in findings[0].message
 
+    def test_dataclass_field_added_without_bump_fires(self, codec_tree):
+        # Field lists are schema too: a peer on the old codec would drop
+        # (or choke on) the new field under the same WIRE_VERSION.
+        source = CODEC.format(version=7) + """
+    @dataclass
+    class CacheOp:
+        op: str
+        key: str
+        trace: str = ""
+"""
+        findings = codec_tree(source, _codec_snapshot())
+        assert [f.code for f in findings] == ["GEM014"]
+        assert ("dataclass CacheOp fields ['op', 'key', 'trace'] != "
+                "snapshot ['op', 'key']") in findings[0].message
+        assert "WIRE_VERSION bump" in findings[0].message
+
+    def test_matching_dataclass_fields_are_clean(self, codec_tree):
+        source = CODEC.format(version=7) + """
+    @dataclass
+    class CacheOp:
+        op: str
+        key: str
+"""
+        assert codec_tree(source, _codec_snapshot()) == []
+
     def test_missing_snapshot_under_repro_live_fires(self, codec_tree):
         findings = codec_tree(CODEC.format(version=7), None)
         assert [f.code for f in findings] == ["GEM014"]

@@ -23,7 +23,7 @@ def test_src_tree_is_clean():
 
 
 def test_full_tree_including_tests_is_clean():
-    # tools/check_lint_baseline.py sweeps src/ and tests/ together; the
+    # CI and the pre-commit hook sweep src/ and tests/ together; the
     # suite pins the same contract so a dirty test fixture fails here
     # before the pre-commit hook ever sees it.
     result = analyze_paths([SRC, TESTS])

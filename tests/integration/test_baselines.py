@@ -4,6 +4,7 @@ StaleCache serves stale data after recovery (Figure 1); VolatileCache is
 consistent but must re-warm from the store; Gemini gets both properties.
 """
 
+import pytest
 
 from repro.recovery.policies import GEMINI_O, STALE_CACHE, VOLATILE_CACHE
 from repro.sim.failures import FailureSchedule
@@ -22,9 +23,22 @@ def run_policy(policy, **kw):
     return experiment.run()
 
 
+# One default-parameter run per baseline, shared by the tests that read
+# it: the simulation is deterministic, so each test sees the same
+# outcome a rebuild of its own would give.
+@pytest.fixture(scope="module")
+def stale_run():
+    return run_policy(STALE_CACHE)
+
+
+@pytest.fixture(scope="module")
+def volatile_run():
+    return run_policy(VOLATILE_CACHE)
+
+
 class TestStaleCache:
-    def test_produces_stale_reads_after_recovery(self):
-        result = run_policy(STALE_CACHE)
+    def test_produces_stale_reads_after_recovery(self, stale_run):
+        result = stale_run
         assert result.oracle.stale_reads > 0
         # All violations happen after the instance came back at t=16.
         assert all(v.finish_time >= 16.0 for v in result.oracle.violations)
@@ -41,8 +55,8 @@ class TestStaleCache:
         if tail:
             assert max(tail) <= series[peak_time]
 
-    def test_restores_hit_ratio_immediately(self):
-        result = run_policy(STALE_CACHE)
+    def test_restores_hit_ratio_immediately(self, stale_run):
+        result = stale_run
         pre = result.hit_ratio_before("cache-0", 8.0)
         restore = result.time_to_restore_hit_ratio(
             "cache-0", max(0.1, pre - 0.1))
@@ -50,12 +64,12 @@ class TestStaleCache:
 
 
 class TestVolatileCache:
-    def test_no_stale_reads(self):
-        result = run_policy(VOLATILE_CACHE)
+    def test_no_stale_reads(self, volatile_run):
+        result = volatile_run
         assert result.oracle.stale_reads == 0
 
-    def test_recovering_instance_starts_cold(self):
-        result = run_policy(VOLATILE_CACHE)
+    def test_recovering_instance_starts_cold(self, volatile_run):
+        result = volatile_run
         series = dict(result.instance_hit_series["cache-0"])
         # The first second after the wipe (recovery lands at t=16) is
         # dominated by misses; at this tiny scale the hot set re-warms

@@ -1,6 +1,8 @@
 """Integration: evolving access patterns and the working-set transfer
 (Section 5.4.4 / Figure 10)."""
 
+import pytest
+
 from repro.harness.experiment import Experiment
 from repro.recovery.policies import GEMINI_I, GEMINI_I_W
 from repro.sim.failures import FailureSchedule
@@ -31,17 +33,24 @@ def build_evolving(policy, switch_fraction, duration=40.0, seed=13):
     return cluster, workload, experiment
 
 
+@pytest.fixture(scope="module")
+def full_switch():
+    """One run of the full switch under Gemini-I+W; the simulation is
+    deterministic, so every test reads the same outcome a rebuild of its
+    own would give."""
+    cluster, __, experiment = build_evolving(GEMINI_I_W, 1.0)
+    return cluster, experiment.run()
+
+
 class TestEvolvingPattern:
-    def test_full_switch_stays_consistent(self):
-        __, ___, experiment = build_evolving(GEMINI_I_W, 1.0)
-        result = experiment.run()
+    def test_full_switch_stays_consistent(self, full_switch):
+        __, result = full_switch
         assert result.oracle.stale_reads == 0
 
-    def test_wst_transfers_new_working_set(self):
+    def test_wst_transfers_new_working_set(self, full_switch):
         """With +W, the secondary's copies of the NEW working set move to
         the recovering primary instead of being recomputed at the store."""
-        cluster, __, experiment = build_evolving(GEMINI_I_W, 1.0)
-        experiment.run()
+        cluster, __ = full_switch
         wst_hits = sum(client.wst.totals("cache-0")["hits"]
                        for client in cluster.clients)
         assert wst_hits > 0

@@ -32,6 +32,26 @@ class TestCommittedSnapshot:
         committed = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
         assert committed == ws.build_snapshot()
 
+    def test_source_schema_matches_the_imported_codec(self):
+        # The snapshot is read from the codec's source; the classes the
+        # running codec really uses must give the same schema.
+        import dataclasses
+
+        from repro.live import wire
+        imported = {
+            "wire_version": wire.WIRE_VERSION,
+            "max_frame": wire.MAX_FRAME,
+            "envelope_kinds": list(wire.ENVELOPE_KINDS),
+            "special_forms": list(wire.WIRE_SPECIAL_FORMS),
+            "dataclasses": {
+                name: [field.name for field in dataclasses.fields(cls)]
+                for name, cls in wire._DATACLASSES.items()},
+            "errors": {
+                name: {"class": cls.__name__, "attrs": list(attrs)}
+                for name, (cls, attrs) in wire._ERRORS.items()},
+        }
+        assert ws.build_snapshot() == imported
+
     def test_check_mode_passes_on_the_committed_file(self, capsys):
         assert ws.main(["--check"]) == 0
         assert "matches" in capsys.readouterr().out

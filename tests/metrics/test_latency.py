@@ -8,7 +8,7 @@ from repro.metrics.latency import LatencyReservoir, percentile
 
 
 def make_reservoir(**kwargs):
-    """A reservoir with an injected stream (no deprecation fallback)."""
+    """A reservoir drawing from a fixed-seed stream."""
     kwargs.setdefault("rng", random.Random(17))
     return LatencyReservoir(**kwargs)
 
@@ -88,10 +88,4 @@ class TestLatencyReservoir:
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            LatencyReservoir(capacity=0)
-
-    def test_missing_rng_falls_back_with_deprecation_warning(self):
-        with pytest.deprecated_call(match="no rng stream injected"):
-            reservoir = LatencyReservoir()
-        reservoir.add(0.5, 1.0)
-        assert reservoir.percentile_at(0.5, 50) == 1.0
+            make_reservoir(capacity=0)

@@ -7,7 +7,7 @@ from repro.sim.rng import RngRegistry
 
 
 def make_recorder(**kwargs):
-    """A recorder with injected streams (no deprecation fallback)."""
+    """A recorder drawing from a fixed-seed registry."""
     kwargs.setdefault("rng_registry", RngRegistry(17))
     return OpRecorder(**kwargs)
 

@@ -1,10 +1,6 @@
 """Unit tests for named RNG streams."""
 
-import random
-
-import pytest
-
-from repro.sim.rng import RngRegistry, fallback_stream
+from repro.sim.rng import RngRegistry
 
 
 class TestRngRegistry:
@@ -67,26 +63,3 @@ class TestRngRegistry:
         a = RngRegistry(3).fork("rep-1").fork("worker-2").stream("x").random()
         b = RngRegistry(3).fork("rep-1").fork("worker-2").stream("x").random()
         assert a == b
-
-
-class TestFallbackStream:
-    def test_injected_stream_returned_unchanged(self):
-        stream = RngRegistry(1).stream("a")
-        assert fallback_stream(stream, "owner") is stream
-
-    def test_injected_stream_does_not_warn(self, recwarn):
-        fallback_stream(RngRegistry(1).stream("a"), "owner")
-        assert not recwarn.list
-
-    def test_missing_stream_warns_with_owner(self):
-        with pytest.deprecated_call(match="some.component"):
-            fallback_stream(None, "some.component")
-
-    def test_fallback_preserves_legacy_sequence(self):
-        # The shim must reproduce random.Random(seed) exactly so that
-        # recorded fingerprints from pre-registry runs do not move.
-        with pytest.deprecated_call():
-            shim = fallback_stream(None, "owner", seed=17)
-        reference = random.Random(17)
-        assert [shim.random() for __ in range(5)] \
-            == [reference.random() for __ in range(5)]

@@ -54,9 +54,9 @@ class TestZipfian:
 
     def test_validation(self):
         with pytest.raises(WorkloadError):
-            ZipfianGenerator(0)
+            ZipfianGenerator(0, rng=random.Random(1))
         with pytest.raises(WorkloadError):
-            ZipfianGenerator(10, theta=0)
+            ZipfianGenerator(10, theta=0, rng=random.Random(1))
         with pytest.raises(WorkloadError):
             ZipfianGenerator(10, rng=random.Random(1)).probability(10)
 
@@ -73,7 +73,7 @@ class TestUniform:
 
     def test_validation(self):
         with pytest.raises(WorkloadError):
-            UniformGenerator(0)
+            UniformGenerator(0, rng=random.Random(1))
 
 
 class TestHotspot:
@@ -91,13 +91,6 @@ class TestHotspot:
 
     def test_validation(self):
         with pytest.raises(WorkloadError):
-            HotspotGenerator(10, hot_fraction=0.0)
+            HotspotGenerator(10, hot_fraction=0.0, rng=random.Random(1))
         with pytest.raises(WorkloadError):
-            HotspotGenerator(10, hot_probability=1.5)
-
-
-class TestFallbackDeprecation:
-    def test_missing_rng_warns_but_still_draws(self):
-        with pytest.deprecated_call(match="no rng stream injected"):
-            gen = UniformGenerator(10)
-        assert 0 <= gen.next() < 10
+            HotspotGenerator(10, hot_probability=1.5, rng=random.Random(1))

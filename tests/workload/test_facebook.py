@@ -66,7 +66,8 @@ class TestSizes:
 class TestValidation:
     def test_bad_inter_arrival_rejected(self):
         with pytest.raises(WorkloadError):
-            FacebookWorkload(record_count=100, mean_inter_arrival=0)
+            FacebookWorkload(record_count=100, mean_inter_arrival=0,
+                             rng=random.Random(1))
 
     def test_mean_request_rate(self, workload):
         assert workload.mean_request_rate() == pytest.approx(1000.0)

@@ -5,19 +5,18 @@
 :mod:`repro.live.wire` can put on a TCP connection — the dataclass
 registry (with field names), the exception registry (with constructor
 attributes), the special forms, the envelope kinds, the frame cap, and
-``WIRE_VERSION``. Two gates consume it:
+``WIRE_VERSION``. The schema is read from the codec's source by the same
+extractor and compared by the same diff
+(:func:`repro.analysis.flowrules.wire_schema` / ``schema_drift``) that
+geminilint's GEM014 runs on every sweep; this tool is the way to
+inspect and regenerate the snapshot:
 
-* **GEM014** (geminilint) compares the codec source against the
-  snapshot lexically on every sweep.
-* This tool's ``--check`` mode recomputes the snapshot by importing the
-  real codec and diffs it against the committed file (the CI analysis
-  job and the pre-commit hook run this).
-
-The point is that an unacknowledged wire change cannot land: editing a
-registry without regenerating the snapshot fails ``--check``, and
-regenerating without bumping ``WIRE_VERSION`` is refused by ``--write``
-(old and new processes would speak incompatible dialects under the same
-version number; see docs/LIVE_RUNTIME.md).
+* ``--check`` diffs the codec against the committed file, printing
+  every difference and whether ``WIRE_VERSION`` must be bumped.
+* ``--write`` regenerates the file, and refuses when the registries
+  changed but ``WIRE_VERSION`` did not (old and new processes would
+  speak incompatible dialects under the same version number; see
+  docs/LIVE_RUNTIME.md).
 
 Usage::
 
@@ -29,7 +28,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import ast
 import json
 import sys
 from pathlib import Path
@@ -37,27 +36,23 @@ from typing import Any, Dict, List, Optional
 
 REPO = Path(__file__).resolve().parent.parent
 SNAPSHOT = REPO / "ci" / "wire-schema.json"
+WIRE = REPO / "src" / "repro" / "live" / "wire.py"
 
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.analysis.core import ModuleContext  # noqa: E402
+from repro.analysis.flowrules import (SchemaDrift, schema_drift,  # noqa: E402
+                                      wire_schema)
+
 
 def build_snapshot() -> Dict[str, Any]:
-    """The current codec's schema, by importing it."""
-    from repro.live import wire
-    return {
-        "wire_version": wire.WIRE_VERSION,
-        "max_frame": wire.MAX_FRAME,
-        "envelope_kinds": list(wire.ENVELOPE_KINDS),
-        "special_forms": list(wire.WIRE_SPECIAL_FORMS),
-        "dataclasses": {
-            name: [field.name for field in dataclasses.fields(cls)]
-            for name, cls in sorted(wire._DATACLASSES.items())
-        },
-        "errors": {
-            name: {"class": cls.__name__, "attrs": list(attrs)}
-            for name, (cls, attrs) in sorted(wire._ERRORS.items())
-        },
-    }
+    """The current codec's schema, read from its source."""
+    source = WIRE.read_text(encoding="utf-8")
+    ctx = ModuleContext(path=str(WIRE), source=source,
+                        tree=ast.parse(source, filename=str(WIRE)))
+    schema = wire_schema(ctx)
+    assert schema is not None, f"{WIRE} defines no codec registries"
+    return schema
 
 
 def render(snapshot: Dict[str, Any]) -> str:
@@ -71,34 +66,20 @@ def load_snapshot(path: Path) -> Optional[Dict[str, Any]]:
         return None
 
 
-def _registries_only(snapshot: Dict[str, Any]) -> Dict[str, Any]:
-    """Everything except the version: what a bump must accompany."""
-    return {key: value for key, value in snapshot.items()
-            if key != "wire_version"}
+def describe(drift: SchemaDrift) -> str:
+    kind, section, name, here, there = drift
+    subject = f"{section} {name}" if name else section
+    if kind == "new":
+        return f"{subject} is new"
+    if kind == "removed":
+        return f"{subject} was removed"
+    return f"{subject} changed: {there} -> {here}"
 
 
 def diff_problems(current: Dict[str, Any],
                   committed: Dict[str, Any]) -> List[str]:
     """Human-readable differences, most specific first."""
-    problems: List[str] = []
-    for section in ("dataclasses", "errors"):
-        here = current.get(section, {})
-        there = committed.get(section, {})
-        for name in sorted(set(here) - set(there)):
-            problems.append(f"{section[:-1]} {name} is new")
-        for name in sorted(set(there) - set(here)):
-            problems.append(f"{section[:-1]} {name} was removed")
-        for name in sorted(set(here) & set(there)):
-            if here[name] != there[name]:
-                problems.append(
-                    f"{section[:-1]} {name} changed: "
-                    f"{there[name]} -> {here[name]}")
-    for key in ("max_frame", "envelope_kinds", "special_forms"):
-        if current.get(key) != committed.get(key):
-            problems.append(
-                f"{key} changed: {committed.get(key)} -> "
-                f"{current.get(key)}")
-    return problems
+    return [describe(drift) for drift in schema_drift(current, committed)]
 
 
 def check(snapshot_path: Path) -> int:
@@ -138,7 +119,7 @@ def write(snapshot_path: Path, force: bool) -> int:
     current = build_snapshot()
     committed = load_snapshot(snapshot_path)
     if committed is not None and not force:
-        changed = _registries_only(current) != _registries_only(committed)
+        changed = bool(schema_drift(current, committed))
         if changed and current["wire_version"] == committed.get(
                 "wire_version"):
             print("refusing to overwrite the snapshot: the codec changed "
