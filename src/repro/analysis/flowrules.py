@@ -227,6 +227,7 @@ def wire_schema(ctx: ModuleContext) -> Optional[Dict[str, Any]]:
         "wire_version": _int_constant(ctx, "WIRE_VERSION"),
         "max_frame": _int_constant(ctx, "MAX_FRAME"),
         "envelope_kinds": _str_list_constant(ctx, "ENVELOPE_KINDS"),
+        "envelope_fields": _str_list_constant(ctx, "ENVELOPE_FIELDS"),
         "special_forms": _str_list_constant(ctx, "WIRE_SPECIAL_FORMS"),
         "dataclasses": {name: _dataclass_fields(project, module, name)
                         for name in sorted(dataclasses[1])},
@@ -253,7 +254,8 @@ class SchemaDrift(NamedTuple):
 #: Scalar snapshot keys, with the wire-module constant each records.
 SCHEMA_SCALARS = (("max_frame", "MAX_FRAME"),
                   ("special_forms", "WIRE_SPECIAL_FORMS"),
-                  ("envelope_kinds", "ENVELOPE_KINDS"))
+                  ("envelope_kinds", "ENVELOPE_KINDS"),
+                  ("envelope_fields", "ENVELOPE_FIELDS"))
 
 
 def schema_drift(here: Dict[str, Any],

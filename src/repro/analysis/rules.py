@@ -189,8 +189,8 @@ class WallClockAndGlobalRandomness(Rule):
             return [self.finding(
                 ctx, node,
                 f"ad-hoc {name}(...) construction; streams must come "
-                f"from RngRegistry (or its documented fallback helper) "
-                f"so seeds derive from the experiment seed")]
+                f"from RngRegistry so seeds derive from the experiment "
+                f"seed")]
         return []
 
 

@@ -46,8 +46,11 @@ CONFIG_ENTRY_KEY = "__gemini:config"
 
 #: Ops that bypass the configuration-id freshness check (bootstrap and
 #: control-plane traffic must work even with a stale client id).
+#: ``red_release`` is checked by its token instead and only gives the
+#: Redlease up, so a pass whose configuration moved can still free it.
 _CONFIG_EXEMPT_OPS = frozenset({
     "get_config", "set_config", "notify_config_id", "stats", "ping", "wipe",
+    "red_release",
 })
 
 

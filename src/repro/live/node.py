@@ -34,14 +34,13 @@ import sys
 import time  # wall epoch stamps for event-stream merging (GEM001 allows
 # repro.live as a package; see repro.analysis.rules.WALL_CLOCK_ALLOWED)
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, cast
 
 from repro.cache.eviction import make_policy
 from repro.cache.instance import CacheInstance, CacheOp
 from repro.coordinator.coordinator import Coordinator, CoordinatorOp
 from repro.coordinator.membership import HeartbeatMonitor
 from repro.datastore.store import DataStore
-from repro.errors import ReproError
 from repro.live.kernel import LiveKernel
 from repro.live.transport import LiveTransport
 from repro.live.wire import (Framer, WireError, decode_envelope, encode,
@@ -220,10 +219,12 @@ class LiveCoordinator(Coordinator):
 class NodeServer:
     """Serves one RemoteNode's ``handle_request`` over framed TCP.
 
-    The request handler runs synchronously on the loop — the live
-    analogue of the sim's zero-width service slot — and any
-    :class:`ReproError` it raises travels back as an error envelope,
-    exactly like the sim network propagating handler exceptions.
+    Each connection is a :class:`_ServerConnection` protocol. The request
+    handler runs synchronously in ``data_received`` — the live analogue
+    of the sim's zero-width service slot — and its reply is written
+    before the next frame is handled; any exception it raises travels
+    back as an error envelope, exactly like the sim network propagating
+    handler exceptions.
     """
 
     def __init__(self, node: Any, host: str = "127.0.0.1",
@@ -234,48 +235,63 @@ class NodeServer:
         self._server: Optional[asyncio.base_events.Server] = None
 
     async def start(self) -> int:
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port)
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _ServerConnection(self.node), self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
 
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        framer = Framer()
-        try:
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
-                for frame in framer.feed(chunk):
-                    self._handle_frame(frame, writer)
-                await writer.drain()
-        except (ConnectionError, OSError, WireError):
-            pass
-        finally:
-            writer.close()
+    async def stop(self) -> None:
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
 
-    def _handle_frame(self, frame: bytes,
-                      writer: asyncio.StreamWriter) -> None:
+
+class _ServerConnection(asyncio.Protocol):
+    """One client connection to a :class:`NodeServer`.
+
+    Backpressure: when the socket's send buffer passes its high-water
+    mark the transport calls ``pause_writing``, and the connection stops
+    reading requests until ``resume_writing``.
+    """
+
+    __slots__ = ("node", "transport", "framer")
+
+    #: Set by ``connection_made``, before any data arrives.
+    transport: asyncio.Transport
+
+    def __init__(self, node: Any) -> None:
+        self.node = node
+        self.framer = Framer()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = cast(asyncio.Transport, transport)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            for frame in self.framer.feed(data):
+                self._handle_frame(frame)
+        except WireError:
+            self.transport.close()
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def _handle_frame(self, frame: bytes) -> None:
         envelope = decode_envelope(frame)
         if envelope["kind"] != "request":
             return
         msg_id = envelope["id"]
         try:
             result = self.node.handle_request(envelope["payload"])
-        except ReproError as exc:
-            writer.write(encode_envelope("error", msg_id, exc))
-            return
         except Exception as exc:  # noqa: BLE001 - a handler bug must
-            # surface at the caller, not kill the server loop.
-            writer.write(encode_envelope("error", msg_id, exc))
+            # surface at the caller, not kill the connection.
+            self.transport.write(encode_envelope("error", msg_id, exc))
             return
-        writer.write(encode_envelope("response", msg_id, result))
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        self.transport.write(encode_envelope("response", msg_id, result))
 
 
 # --------------------------------------------------------------------------

@@ -219,6 +219,10 @@ class TestLockOrderInversionInjection:
 #: ReproError, which clients do not back off on.
 LEASE_ENTRY = '    "LeaseBackoff": (LeaseBackoff, ("key",)),\n'
 
+#: The envelope's array layout, and the same fields with two swapped.
+ENVELOPE_LAYOUT = 'ENVELOPE_FIELDS = ("v", "kind", "id", "src", "payload")'
+ENVELOPE_REORDERED = 'ENVELOPE_FIELDS = ("v", "kind", "id", "payload", "src")'
+
 
 class TestWireRegistryDropRevert:
     def test_fixed_wire_module_is_clean(self):
@@ -298,5 +302,18 @@ class TestWireSchemaDriftRevert:
                                   rules=[WireSchemaDrift()])
         assert [f.code for f in findings] == ["GEM014"]
         assert "LeaseBackoff gone from codec" in findings[0].message
+        assert "WIRE_VERSION bump" in findings[0].message
+
+    def test_envelope_layout_edit_without_bump_fires_gem014(self):
+        # The envelope is a positional array, so moving one of its
+        # fields changes what every peer reads at each position — a
+        # wire change even though no registry entry moved.
+        source = WIRE.read_text()
+        assert ENVELOPE_LAYOUT in source, "envelope anchor moved; update test"
+        bugged = source.replace(ENVELOPE_LAYOUT, ENVELOPE_REORDERED, 1)
+        findings = analyze_source(bugged, path=str(WIRE),
+                                  rules=[WireSchemaDrift()])
+        assert [f.code for f in findings] == ["GEM014"]
+        assert "ENVELOPE_FIELDS" in findings[0].message
         assert "WIRE_VERSION bump" in findings[0].message
 

@@ -230,6 +230,29 @@ class TestDirtyListOps:
         assert call(instance, "red_release", fragment_id=3, token=token)
         call(instance, "red_acquire", fragment_id=3)
 
+    def test_red_release_with_stale_config_id_frees_the_lease(
+            self, instance):
+        # A repair pass whose configuration moved mid-pass still gives
+        # its Redlease up; otherwise the next pass backs off for the
+        # whole red_lifetime.
+        token = call(instance, "red_acquire", fragment_id=3,
+                     client_cfg_id=5)
+        call(instance, "notify_config_id", client_cfg_id=6)
+        assert call(instance, "red_release", fragment_id=3, token=token,
+                    client_cfg_id=5)
+        assert call(instance, "red_acquire", fragment_id=3,
+                    client_cfg_id=6) != token
+
+    def test_red_release_with_stale_config_id_checks_the_token(
+            self, instance):
+        token = call(instance, "red_acquire", fragment_id=3,
+                     client_cfg_id=5)
+        call(instance, "notify_config_id", client_cfg_id=6)
+        assert not call(instance, "red_release", fragment_id=3,
+                        token=token + 1, client_cfg_id=5)
+        with pytest.raises(LeaseBackoff):
+            call(instance, "red_acquire", fragment_id=3, client_cfg_id=6)
+
     def test_dirty_appends_counted(self, instance):
         call(instance, "create_dirty", fragment_id=3)
         call(instance, "append_dirty", fragment_id=3, key="a")

@@ -42,6 +42,7 @@ class TestCommittedSnapshot:
             "wire_version": wire.WIRE_VERSION,
             "max_frame": wire.MAX_FRAME,
             "envelope_kinds": list(wire.ENVELOPE_KINDS),
+            "envelope_fields": list(wire.ENVELOPE_FIELDS),
             "special_forms": list(wire.WIRE_SPECIAL_FORMS),
             "dataclasses": {
                 name: [field.name for field in dataclasses.fields(cls)]

@@ -278,3 +278,10 @@ class TestEnvelope:
             frames.extend(framer.feed(blob[offset:offset + 3]))
         assert [decode_envelope(f)["payload"]["i"] for f in frames] == \
             list(range(5))
+
+
+def test_version_1_named_fields_are_rejected_not_misread():
+    # A version-1 journal line: positional decoding of {field: value}
+    # would build Value("version", "size") instead of failing.
+    with pytest.raises(WireError, match="not positional"):
+        decode(b'{"__t":"Value","f":{"version":3,"size":10}}')

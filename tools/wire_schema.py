@@ -4,9 +4,9 @@
 ``ci/wire-schema.json`` is a canonical JSON description of everything
 :mod:`repro.live.wire` can put on a TCP connection — the dataclass
 registry (with field names), the exception registry (with constructor
-attributes), the special forms, the envelope kinds, the frame cap, and
-``WIRE_VERSION``. The schema is read from the codec's source by the same
-extractor and compared by the same diff
+attributes), the special forms, the envelope kinds and field order,
+the frame cap, and ``WIRE_VERSION``. The schema is read from the codec's
+source by the same extractor and compared by the same diff
 (:func:`repro.analysis.flowrules.wire_schema` / ``schema_drift``) that
 geminilint's GEM014 runs on every sweep; this tool is the way to
 inspect and regenerate the snapshot:
