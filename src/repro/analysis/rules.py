@@ -579,7 +579,7 @@ class MissingProtocolEvent(Rule):
             "op_red_acquire", "op_red_release", "fail", "wipe",
         },
         "Coordinator": {
-            "_commit", "_handle_failure", "_recover_gemini",
+            "_commit", "_handle_failure", "_handle_recovery",
             "_handle_dirty_done", "_handle_dirty_lost",
         },
         "GeminiClient": {"_adopt", "_write_transient"},

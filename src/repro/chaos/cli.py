@@ -6,7 +6,8 @@ Modes:
 * ``--seeds N [--start S0]`` — sweep N consecutive seeds; stop at the
   first invariant violation, shrink it, and write a replay file.
 * ``--replay FILE`` — re-run a previously written replay file and check
-  that the recorded violation reproduces byte-for-byte.
+  that the recorded violation reproduces byte-for-byte; on a fingerprint
+  mismatch, print the violation lines only one of the two runs reported.
 * ``--mutant NAME`` — run everything against a deliberately re-broken
   protocol variant (see :mod:`repro.chaos.mutants`).
 * ``--sanitize`` — run every trial under the interleaving sanitizer
@@ -115,6 +116,20 @@ def _handle_failure(spec: TrialSpec, result: TrialResult,
     print(f"reproduce with: {command}")
 
 
+def _print_violation_diff(recorded: List[str], rerun: List[str]) -> None:
+    """Name the violation lines only one of the two runs reported."""
+    rerun_set, recorded_set = set(rerun), set(recorded)
+    only_recorded = [v for v in recorded if v not in rerun_set]
+    only_rerun = [v for v in rerun if v not in recorded_set]
+    if not only_recorded and not only_rerun:
+        print("both runs reported the same violation lines; the "
+              "difference is in their order or the run's counts")
+    for violation in only_recorded:
+        print(f"  only in replay file: {violation}")
+    for violation in only_rerun:
+        print(f"  only in this run:    {violation}")
+
+
 def _run_replay(args: argparse.Namespace) -> int:
     payload = load_replay(args.replay)
     mutant = args.mutant if args.mutant is not None else payload.get("mutant")
@@ -136,6 +151,8 @@ def _run_replay(args: argparse.Namespace) -> int:
         else:
             print(f"fingerprint MISMATCH: got {result.fingerprint()}, "
                   f"replay file recorded {recorded}")
+            _print_violation_diff(payload.get("violations", []),
+                                  [str(v) for v in result.violations])
             return 1
     return 0 if result.ok else 1
 

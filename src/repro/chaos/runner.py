@@ -153,7 +153,7 @@ def _promote_master(cluster: GeminiCluster) -> None:
         client.coordinator_address = promoted.address
     for worker in cluster.workers:
         worker.coordinator_address = promoted.address
-    cluster.injector.subscribe(promoted.on_injector_event)
+    cluster.injector.subscribe(promoted.on_event)
     promoted.start_monitor()
 
 

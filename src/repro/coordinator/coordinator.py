@@ -26,6 +26,7 @@ interleave with the RPCs they issue.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set
 
@@ -174,19 +175,19 @@ class Coordinator(RemoteNode):
         return self.published
 
     def op_report_failure(self, request: CoordinatorOp) -> bool:
-        self.notify_failure(request.address)
+        self.on_event("fail", request.address)
         return True
 
     def op_report_recovery(self, request: CoordinatorOp) -> bool:
-        self.notify_recovery(request.address)
+        self.on_event("recover", request.address)
         return True
 
     def op_dirty_done(self, request: CoordinatorOp) -> bool:
-        self.notify_dirty_done(request.fragment_id)
+        self.on_event("dirty_done", request.fragment_id)
         return True
 
     def op_dirty_lost(self, request: CoordinatorOp) -> bool:
-        self.notify_dirty_lost(request.fragment_id)
+        self.on_event("dirty_lost", request.fragment_id)
         return True
 
     def op_get_dirty_copy(self, request: CoordinatorOp) -> Any:
@@ -201,240 +202,165 @@ class Coordinator(RemoteNode):
         }
 
     # ------------------------------------------------------------------
-    # Entry points (also callable directly by the failure injector)
-    # ------------------------------------------------------------------
-    # A dead coordinator must not start transitions from any entry
-    # point. RPC paths are already refused by the network, but these are
-    # callable directly (injector subscriptions, harness code), so each
-    # carries the same liveness guard as on_injector_event (GEM005).
-    def notify_failure(self, address: str) -> None:
-        if not self.up:
-            return
-        if address in self._alive:
-            self.sim.process(self._handle_failure(address),
-                             name=f"coord-fail:{address}")
-
-    def notify_recovery(self, address: str) -> None:
-        if not self.up:
-            return
-        if address not in self._alive:
-            self.sim.process(self._handle_recovery(address),
-                             name=f"coord-recover:{address}")
-
-    def notify_dirty_done(self, fragment_id: int) -> None:
-        if not self.up:
-            return
-        self.sim.process(self._handle_dirty_done(fragment_id),
-                         name=f"coord-dirty-done:{fragment_id}")
-
-    def notify_dirty_lost(self, fragment_id: int) -> None:
-        """A client/worker found the dirty list missing or partial."""
-        if not self.up:
-            return
-        self.sim.process(self._handle_dirty_lost(fragment_id),
-                         name=f"coord-dirty-lost:{fragment_id}")
-
-    def notify_wst_done(self, address: str) -> None:
-        if not self.up:
-            return
-        self.sim.process(self._handle_wst_done(address),
-                         name=f"coord-wst-done:{address}")
-
-    def on_injector_event(self, event: str, address: str) -> None:
-        """Adapter for :class:`repro.sim.failures.FailureInjector`.
-
-        A dead coordinator ignores membership events: after a failover
-        the promoted shadow owns them, and the old master must not keep
-        committing configurations from its diverged state (its injector
-        subscription — unlike client RPCs, which the network refuses —
-        would otherwise still fire). Found by the chaos engine: the
-        stale master's pushes routed writes where the promoted master's
-        recovery never looked, losing them from the dirty list.
-        """
-        if not self.up:
-            return
-        if event == "fail":
-            self.notify_failure(address)
-        elif event == "recover":
-            self.notify_recovery(address)
-
-    # ------------------------------------------------------------------
     # Transitions (processes; serialized by the mutex)
     # ------------------------------------------------------------------
-    def _trace_transition(self, name: str, **attrs: Any):
-        """Open a transition span (or None when no tracer is installed).
+    def on_event(self, kind: str, target: Any) -> None:
+        """Start the Figure-4 transition for one lifecycle event — the
+        entry point for RPCs, monitors and the failure injector alike.
 
-        Spans open *before* the lock acquire so the serialized wait shows
-        up as span time; the caller stamps ``lock_wait`` after acquiring.
+        ``kind`` is a key of :attr:`_TRANSITIONS`; ``target`` is an
+        instance address or a fragment id. A dead coordinator ignores
+        every event (GEM005): after a failover the promoted shadow owns
+        them, and an old master committing from its diverged state
+        routed writes where the new master's recovery never looked.
+        """
+        if not self.up:
+            return
+        if kind == "fail" and target not in self._alive \
+                or kind == "recover" and target in self._alive:
+            return
+        process, span, attr, body = self._TRANSITIONS[kind]
+        self.sim.process(self._transition(span, attr, target, body),
+                         name=f"{process}:{target}")
+
+    def _transition(self, span_name: str, attr: str, target: Any,
+                    body: Callable[..., SimGenerator]) -> SimGenerator:
+        """The one transition driver: ``body(self, target)`` under the
+        transition lock, inside a ``transition`` span.
+
+        The span opens *before* the lock acquire so the serialized wait
+        shows up as span time and as its ``lock_wait`` attribute.
         """
         tracer = self.sim.tracer
-        if tracer is None:
-            return None
-        return tracer.begin(name, kind="transition", **attrs)
-
-    def _trace_close(self, span) -> None:
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.end(span)
+        span = (None if tracer is None else
+                tracer.begin(span_name, kind="transition", **{attr: target}))
+        queued = self.sim.now
+        yield self._lock.acquire()
+        if span is not None:
+            span.attrs["lock_wait"] = self.sim.now - queued
+        try:
+            yield from body(self, target)
+        finally:
+            self._lock.release()
+            tracer = self.sim.tracer  # may be swapped mid-transition
+            if tracer is not None:
+                tracer.end(span)
 
     def _handle_failure(self, address: str) -> SimGenerator:
-        span = self._trace_transition("failure", address=address)
-        queued = self.sim.now
-        yield self._lock.acquire()
-        if span is not None:
-            span.attrs["lock_wait"] = self.sim.now - queued
-        try:
-            if address not in self._alive:
-                return
-            self._alive.discard(address)
-            self._pre_failure_hit[address] = self._window_hit.get(address, 0.0)
-            if not any(a in self._alive for a in self._instances):
-                # Total outage: every instance is down, so there is no
-                # survivor to host dirty lists or absorb the failed
-                # primary's fragments. Leave the configuration untouched
-                # and wait for recoveries — committing here would route
-                # fragments to dead hosts. The interleaving sanitizer
-                # found this path dying inside the assigner with an
-                # unobserved CoordinatorError, mid-transition.
-                self.transitions.append((self.sim.now, "outage",
-                                         address, 0))
-                self._emit("total_outage", address=address)
-                return
-            new_id = self._config_id + 1
-            updates: Dict[int, FragmentInfo] = {}
-            dirty_creates: List[tuple] = []
-            assign = self._round_robin_assigner(exclude={address})
-            for fragment in list(self._fragments.values()):
-                fid = fragment.fragment_id
-                if fragment.primary == address and fragment.mode is FragmentMode.NORMAL:
-                    secondary = next(assign)
-                    self._pre_failure_cfg[fid] = fragment.cfg_id
-                    self._recoverable[fid] = self.policy.maintain_dirty
-                    self._dirty_done.discard(fid)
-                    updates[fid] = fragment.replace(
-                        secondary=secondary, mode=FragmentMode.TRANSIENT,
-                        cfg_id=new_id, wst_active=False, episode=new_id)
-                    self._emit("transient_begin", fragment_id=fid,
-                               episode=new_id, secondary=secondary,
-                               resumed=False)
-                    if self.policy.maintain_dirty:
-                        dirty_creates.append((secondary, fid, True))
-                elif fragment.primary == address and fragment.mode is FragmentMode.RECOVERY:
-                    # Arrow 5 in Figure 4: failed again before recovery
-                    # completed. Keep the restored floor; the dirty list in
-                    # the secondary keeps covering the outage, so its
-                    # (re-)creation must *not* mint a fresh marker.
-                    self._dirty_done.discard(fid)
-                    updates[fid] = fragment.replace(
-                        mode=FragmentMode.TRANSIENT, wst_active=False)
-                    self._emit("transient_begin", fragment_id=fid,
-                               episode=fragment.cfg_id,
-                               secondary=fragment.secondary, resumed=True)
-                    if self.policy.maintain_dirty and fragment.secondary:
-                        dirty_creates.append((fragment.secondary, fid, False))
-                elif fragment.secondary == address and fragment.mode is FragmentMode.TRANSIENT:
-                    # The dirty list is gone: discard the primary replica
-                    # and move the fragment to a fresh serving instance.
-                    self._recoverable[fid] = False
-                    replacement = next(assign)
-                    self.fragments_discarded += 1
-                    updates[fid] = fragment.replace(
-                        secondary=replacement, cfg_id=new_id, episode=new_id)
-                    self._emit("fragment_unrecoverable", fragment_id=fid)
-                    self._emit("transient_begin", fragment_id=fid,
-                               episode=new_id, secondary=replacement,
-                               resumed=False)
-                    if self.policy.maintain_dirty:
-                        dirty_creates.append((replacement, fid, True))
-                elif fragment.secondary == address and fragment.mode is FragmentMode.RECOVERY:
-                    # Section 3.3: terminate the transfer; remaining dirty
-                    # keys are repaired from the coordinator's copy.
-                    updates[fid] = fragment.replace(
-                        secondary=None, wst_active=False)
-                elif fragment.primary == address:
-                    # transient primary failed "again": nothing changes,
-                    # the secondary keeps serving.
-                    continue
-            self.transitions.append((self.sim.now, "failure", address,
-                                     len(updates)))
-            if updates:
-                yield from self._commit(new_id, updates)
-                yield from self._create_dirty_lists(dirty_creates)
-            else:
-                self._config_id = new_id
-                self.current = self.current.evolve(new_id, {})
-                self._emit("config_commit", config=self.current)
-                self._trace_commit(new_id, 0)
-                yield from self._push_configuration()
-        finally:
-            self._lock.release()
-            self._trace_close(span)
-
-    def _handle_recovery(self, address: str) -> SimGenerator:
-        span = self._trace_transition("recovery", address=address)
-        queued = self.sim.now
-        yield self._lock.acquire()
-        if span is not None:
-            span.attrs["lock_wait"] = self.sim.now - queued
-        try:
-            if address in self._alive:
-                return
-            self._alive.add(address)
-            if self.policy.kind == "volatile":
-                yield from self._recover_volatile(address)
-            elif self.policy.kind == "stale":
-                yield from self._recover_stale(address)
-            else:
-                yield from self._recover_gemini(address)
-        finally:
-            self._lock.release()
-            self._trace_close(span)
+        if address not in self._alive:
+            return
+        self._alive.discard(address)
+        self._pre_failure_hit[address] = self._window_hit.get(address, 0.0)
+        if not any(a in self._alive for a in self._instances):
+            # Total outage: every instance is down, so there is no
+            # survivor to host dirty lists or absorb the failed
+            # primary's fragments. Leave the configuration untouched
+            # and wait for recoveries — committing here would route
+            # fragments to dead hosts. The interleaving sanitizer
+            # found this path dying inside the assigner with an
+            # unobserved CoordinatorError, mid-transition.
+            self.transitions.append((self.sim.now, "outage", address, 0))
+            self._emit("total_outage", address=address)
+            return
+        new_id = self._config_id + 1
+        updates: Dict[int, FragmentInfo] = {}
+        dirty_creates: List[tuple] = []
+        # Section 4: the failed instance's fragments spread round-robin
+        # over the survivors (at least one: see the total outage above).
+        assign = itertools.cycle(self.alive_instances())
+        for fragment in list(self._fragments.values()):
+            fid = fragment.fragment_id
+            if fragment.primary == address and fragment.mode is FragmentMode.NORMAL:
+                secondary = next(assign)
+                self._pre_failure_cfg[fid] = fragment.cfg_id
+                self._recoverable[fid] = self.policy.maintain_dirty
+                self._dirty_done.discard(fid)
+                updates[fid] = fragment.replace(
+                    secondary=secondary, mode=FragmentMode.TRANSIENT,
+                    cfg_id=new_id, wst_active=False, episode=new_id)
+                self._emit("transient_begin", fragment_id=fid,
+                           episode=new_id, secondary=secondary,
+                           resumed=False)
+                if self.policy.maintain_dirty:
+                    dirty_creates.append((secondary, fid, True))
+            elif (fragment.primary == address
+                  and fragment.mode is FragmentMode.RECOVERY
+                  and fragment.secondary is not None):
+                # Arrow 5 in Figure 4: failed again before recovery
+                # completed. Keep the restored floor; the dirty list in
+                # the secondary keeps covering the outage, so its
+                # (re-)creation must *not* mint a fresh marker.
+                self._dirty_done.discard(fid)
+                updates[fid] = fragment.replace(
+                    mode=FragmentMode.TRANSIENT, wst_active=False)
+                self._emit("transient_begin", fragment_id=fid,
+                           episode=fragment.cfg_id,
+                           secondary=fragment.secondary, resumed=True)
+                if self.policy.maintain_dirty:
+                    dirty_creates.append((fragment.secondary, fid, False))
+            elif (fragment.primary == address
+                  and fragment.mode is FragmentMode.RECOVERY
+                  or fragment.secondary == address
+                  and fragment.mode is FragmentMode.TRANSIENT):
+                # The dirty list is gone — its secondary failed, now or
+                # earlier in this recovery (Section 3.3): discard the
+                # primary replica and move the fragment to a fresh
+                # serving instance.
+                self._recoverable[fid] = False
+                replacement = next(assign)
+                self.fragments_discarded += 1
+                updates[fid] = fragment.replace(
+                    secondary=replacement, mode=FragmentMode.TRANSIENT,
+                    cfg_id=new_id, wst_active=False, episode=new_id)
+                self._emit("fragment_unrecoverable", fragment_id=fid)
+                self._emit("transient_begin", fragment_id=fid,
+                           episode=new_id, secondary=replacement,
+                           resumed=False)
+                if self.policy.maintain_dirty:
+                    dirty_creates.append((replacement, fid, True))
+            elif fragment.secondary == address and fragment.mode is FragmentMode.RECOVERY:
+                # Section 3.3: terminate the transfer; remaining dirty
+                # keys are repaired from the coordinator's copy.
+                updates[fid] = fragment.replace(
+                    secondary=None, wst_active=False)
+            # A transient primary failing "again" changes nothing: the
+            # secondary keeps serving.
+        self.transitions.append((self.sim.now, "failure", address,
+                                 len(updates)))
+        yield from self._commit(new_id, updates)
+        yield from self._create_dirty_lists(dirty_creates)
 
     def _recovering_fragments(self, address: str) -> List[FragmentInfo]:
-        """Fragments homed at `address` currently served elsewhere."""
-        out = []
-        for fragment in self._fragments.values():
-            if self._home[fragment.fragment_id] == address:
-                out.append(fragment)
-        return out
+        """Fragments `address` takes back: those homed there but served
+        elsewhere, and those it was the transient primary of (a
+        secondary that dirty-lost promoted keeps its fragment's home)."""
+        return [fragment for fragment in self._fragments.values()
+                if self._home[fragment.fragment_id] == address
+                and not (fragment.mode is FragmentMode.NORMAL
+                         and fragment.primary == address)
+                or fragment.primary == address
+                and fragment.mode is FragmentMode.TRANSIENT]
 
-    def _recover_volatile(self, address: str) -> SimGenerator:
-        """Baseline: the instance lost its content; wipe and reuse empty."""
-        try:
-            yield self.network.call(address, CacheOp(op="wipe"))
-        except (NetworkError, StaleConfiguration):
-            pass
-        new_id = self._config_id + 1
-        updates = {}
-        for fragment in self._recovering_fragments(address):
-            if fragment.mode is FragmentMode.NORMAL and fragment.primary == address:
-                continue
-            updates[fragment.fragment_id] = fragment.replace(
-                primary=address, secondary=None, mode=FragmentMode.NORMAL,
-                cfg_id=new_id, wst_active=False, episode=0)
-        self.transitions.append((self.sim.now, "recover-volatile", address,
-                                 len(updates)))
-        yield from self._commit(new_id, updates)
+    def _handle_recovery(self, address: str) -> SimGenerator:
+        """Hand `address`'s fragments back; the policy kind picks how.
 
-    def _recover_stale(self, address: str) -> SimGenerator:
-        """Baseline: reuse content as-is — floors restored, no repair."""
-        new_id = self._config_id + 1
-        updates = {}
-        for fragment in self._recovering_fragments(address):
-            fid = fragment.fragment_id
-            if fragment.mode is FragmentMode.NORMAL and fragment.primary == address:
-                continue
-            floor = self._pre_failure_cfg.get(fid, fragment.cfg_id)
-            updates[fid] = fragment.replace(
-                primary=address, secondary=None, mode=FragmentMode.NORMAL,
-                cfg_id=floor, wst_active=False, episode=0)
-        self.transitions.append((self.sim.now, "recover-stale", address,
-                                 len(updates)))
-        yield from self._commit(new_id, updates)
-
-    def _recover_gemini(self, address: str) -> SimGenerator:
-        """Full protocol: recovery mode for recoverable fragments,
-        discard (floor bump) for the rest (Example 3.1)."""
+        * ``volatile`` — the instance lost its content: wipe it, bump
+          every floor to the new id, normal mode.
+        * ``stale`` — reuse the content as-is: floors restored to their
+          pre-failure value, normal mode, no repair.
+        * ``gemini`` — recovery mode at the restored floor for every
+          fragment whose dirty list is present and complete; a floor
+          bump (discard, Example 3.1) for the rest.
+        """
+        if address in self._alive:
+            return
+        self._alive.add(address)
+        kind = self.policy.kind
+        if kind == "volatile":
+            try:
+                yield self.network.call(address, CacheOp(op="wipe"))
+            except (NetworkError, StaleConfiguration):
+                pass
         new_id = self._config_id + 1
         updates: Dict[int, FragmentInfo] = {}
         recovery_fragments: List[FragmentInfo] = []
@@ -443,22 +369,22 @@ class Coordinator(RemoteNode):
         episodes: Dict[int, int] = {}
         for fragment in self._recovering_fragments(address):
             fid = fragment.fragment_id
-            if fragment.mode is FragmentMode.NORMAL and fragment.primary == address:
+            floor = self._pre_failure_cfg.get(fid, fragment.cfg_id)
+            if kind == "stale":
+                updates[fid] = fragment.replace(
+                    primary=address, secondary=None, mode=FragmentMode.NORMAL,
+                    cfg_id=floor, wst_active=False, episode=0)
                 continue
-            episodes[fid] = fragment.cfg_id
-            recoverable = self._recoverable.get(fid, False)
-            dirty = CACHE_MISS
-            if recoverable and fragment.secondary is not None:
-                try:
-                    dirty = yield self.network.call(
-                        fragment.secondary,
-                        CacheOp(op="get_dirty", fragment_id=fid,
-                                client_cfg_id=self._config_id))
-                except (NetworkError, StaleConfiguration):
-                    dirty = CACHE_MISS
-            if dirty is CACHE_MISS or not dirty.complete:
-                recoverable = False
-            if not recoverable:
+            if kind == "gemini":
+                episodes[fid] = fragment.cfg_id
+                if (yield from self._dirty_list_complete(fragment)):
+                    info = fragment.replace(
+                        primary=address, mode=FragmentMode.RECOVERY,
+                        cfg_id=floor,
+                        wst_active=self.policy.working_set_transfer)
+                    updates[fid] = info
+                    recovery_fragments.append(info)
+                    continue
                 self.fragments_discarded += 1
                 self._emit("fragment_discarded", fragment_id=fid)
                 if fragment.secondary is not None:
@@ -471,17 +397,10 @@ class Coordinator(RemoteNode):
                                     client_cfg_id=self._config_id))
                     except (NetworkError, StaleConfiguration):
                         pass
-                updates[fid] = fragment.replace(
-                    primary=address, secondary=None, mode=FragmentMode.NORMAL,
-                    cfg_id=new_id, wst_active=False, episode=0)
-                continue
-            floor = self._pre_failure_cfg.get(fid, fragment.cfg_id)
-            info = fragment.replace(
-                primary=address, mode=FragmentMode.RECOVERY, cfg_id=floor,
-                wst_active=self.policy.working_set_transfer)
-            updates[fid] = info
-            recovery_fragments.append(info)
-        self.transitions.append((self.sim.now, "recover-gemini", address,
+            updates[fid] = fragment.replace(
+                primary=address, secondary=None, mode=FragmentMode.NORMAL,
+                cfg_id=new_id, wst_active=False, episode=0)
+        self.transitions.append((self.sim.now, f"recover-{kind}", address,
                                  len(updates)))
         yield from self._commit(new_id, updates)
         # Refresh the fallback dirty copies *after* instances learned the
@@ -507,128 +426,112 @@ class Coordinator(RemoteNode):
             self.sim.process(self._wst_monitor(address),
                              name=f"wst-monitor:{address}")
 
-    def _handle_dirty_done(self, fragment_id: int) -> SimGenerator:
-        span = self._trace_transition("dirty-done", fragment_id=fragment_id)
-        queued = self.sim.now
-        yield self._lock.acquire()
-        if span is not None:
-            span.attrs["lock_wait"] = self.sim.now - queued
+    def _dirty_list_complete(self, fragment: FragmentInfo) -> SimGenerator:
+        """Can recovery trust the fragment's dirty list: still
+        recoverable, and its secondary holds it complete?"""
+        if not self._recoverable.get(fragment.fragment_id, False) \
+                or fragment.secondary is None:
+            return False
         try:
-            fragment = self._fragments.get(fragment_id)
-            if fragment is None or fragment.mode is not FragmentMode.RECOVERY:
-                return
-            self._dirty_done.add(fragment_id)
-            self._dirty_copy.pop(fragment_id, None)
-            self._emit("dirty_done", fragment_id=fragment_id)
-            if fragment.wst_active:
-                return  # stays in recovery until the transfer terminates
-            new_id = self._config_id + 1
-            updates = {fragment_id: fragment.replace(
-                secondary=None, mode=FragmentMode.NORMAL, episode=0)}
-            self.transitions.append((self.sim.now, "dirty-done", fragment_id, 1))
-            yield from self._commit(new_id, updates)
-        finally:
-            self._lock.release()
-            self._trace_close(span)
+            dirty = yield self.network.call(
+                fragment.secondary,
+                CacheOp(op="get_dirty", fragment_id=fragment.fragment_id,
+                        client_cfg_id=self._config_id))
+        except (NetworkError, StaleConfiguration):
+            return False
+        return dirty is not CACHE_MISS and dirty.complete
+
+    def _handle_dirty_done(self, fragment_id: int) -> SimGenerator:
+        fragment = self._fragments.get(fragment_id)
+        if fragment is None or fragment.mode is not FragmentMode.RECOVERY:
+            return
+        self._dirty_done.add(fragment_id)
+        self._dirty_copy.pop(fragment_id, None)
+        self._emit("dirty_done", fragment_id=fragment_id)
+        if fragment.wst_active:
+            return  # stays in recovery until the transfer terminates
+        new_id = self._config_id + 1
+        updates = {fragment_id: fragment.replace(
+            secondary=None, mode=FragmentMode.NORMAL, episode=0)}
+        self.transitions.append((self.sim.now, "dirty-done", fragment_id, 1))
+        yield from self._commit(new_id, updates)
 
     def _handle_dirty_lost(self, fragment_id: int) -> SimGenerator:
         """The dirty list was evicted (or found partial): terminate
         transient mode and discard the primary replica (Section 3.1)."""
-        span = self._trace_transition("dirty-lost", fragment_id=fragment_id)
-        queued = self.sim.now
-        yield self._lock.acquire()
-        if span is not None:
-            span.attrs["lock_wait"] = self.sim.now - queued
-        try:
-            fragment = self._fragments.get(fragment_id)
-            if fragment is None or fragment.mode is not FragmentMode.TRANSIENT:
-                return
-            self._recoverable[fragment_id] = False
-            self._emit("dirty_lost", fragment_id=fragment_id)
-            new_id = self._config_id + 1
-            # Promote the secondary to primary (Section 3.1); the old
-            # primary replica is dead content that the floor bump discards
-            # when its instance returns and the fragment is handed back.
-            updates = {fragment_id: fragment.replace(
-                primary=fragment.secondary, secondary=None,
-                mode=FragmentMode.NORMAL, cfg_id=new_id, episode=0)}
-            self.fragments_discarded += 1
-            self.transitions.append((self.sim.now, "dirty-lost", fragment_id, 1))
-            yield from self._commit(new_id, updates)
-        finally:
-            self._lock.release()
-            self._trace_close(span)
+        fragment = self._fragments.get(fragment_id)
+        if fragment is None or fragment.mode is not FragmentMode.TRANSIENT:
+            return
+        self._recoverable[fragment_id] = False
+        self._emit("dirty_lost", fragment_id=fragment_id)
+        new_id = self._config_id + 1
+        # Promote the secondary to primary (Section 3.1); the old
+        # primary replica is dead content that the floor bump discards
+        # when its instance returns and the fragment is handed back.
+        updates = {fragment_id: fragment.replace(
+            primary=fragment.secondary, secondary=None,
+            mode=FragmentMode.NORMAL, cfg_id=new_id, episode=0)}
+        self.fragments_discarded += 1
+        self.transitions.append((self.sim.now, "dirty-lost", fragment_id, 1))
+        yield from self._commit(new_id, updates)
 
     def _handle_wst_done(self, address: str) -> SimGenerator:
-        span = self._trace_transition("wst-done", address=address)
-        queued = self.sim.now
-        yield self._lock.acquire()
-        if span is not None:
-            span.attrs["lock_wait"] = self.sim.now - queued
-        try:
-            new_id = self._config_id + 1
-            updates = {}
-            for fragment in self._fragments.values():
-                if fragment.primary != address or not fragment.wst_active:
-                    continue
-                fid = fragment.fragment_id
-                if fid in self._dirty_done:
-                    updates[fid] = fragment.replace(
-                        secondary=None, mode=FragmentMode.NORMAL,
-                        wst_active=False, episode=0)
-                else:
-                    updates[fid] = fragment.replace(wst_active=False)
-            if not updates:
-                return
-            self.transitions.append((self.sim.now, "wst-done", address,
-                                     len(updates)))
-            yield from self._commit(new_id, updates)
-        finally:
-            self._lock.release()
-            self._trace_close(span)
+        new_id = self._config_id + 1
+        updates = {}
+        for fid, fragment in self._fragments.items():
+            if fragment.primary == address and fragment.wst_active:
+                updates[fid] = (fragment.replace(
+                    secondary=None, mode=FragmentMode.NORMAL,
+                    wst_active=False, episode=0)
+                    if fid in self._dirty_done
+                    else fragment.replace(wst_active=False))
+        if not updates:
+            return
+        self.transitions.append((self.sim.now, "wst-done", address,
+                                 len(updates)))
+        yield from self._commit(new_id, updates)
 
-    def _round_robin_assigner(self, exclude: Set[str]):
-        """Yield surviving instances round-robin (Section 4's distribution
-        of a failed instance's fragments)."""
-        candidates = [a for a in self._instances
-                      if a in self._alive and a not in exclude]
-        if not candidates:
-            raise CoordinatorError("no surviving instance to assign to")
-        index = 0
-        while True:
-            yield candidates[index % len(candidates)]
-            index += 1
+    #: Event kind -> (process name prefix, span name, span attribute
+    #: naming the target, transition body). The injector delivers
+    #: ``fail``/``recover``; RPCs and the coordinator's own monitors
+    #: deliver the rest.
+    _TRANSITIONS = {
+        "fail": ("coord-fail", "failure", "address", _handle_failure),
+        "recover": ("coord-recover", "recovery", "address",
+                    _handle_recovery),
+        "dirty_done": ("coord-dirty-done", "dirty-done", "fragment_id",
+                       _handle_dirty_done),
+        "dirty_lost": ("coord-dirty-lost", "dirty-lost", "fragment_id",
+                       _handle_dirty_lost),
+        "wst_done": ("coord-wst-done", "wst-done", "address",
+                     _handle_wst_done),
+    }
 
     # ------------------------------------------------------------------
     # Publication
     # ------------------------------------------------------------------
-    def _trace_commit(self, new_id: int, n_updates: int) -> None:
-        """Instant commit span, emitted at the same simulated instant as
-        the ``config_commit`` protocol event — the timeline reconstructor
-        cross-checks the two streams (id, time) pair by pair."""
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.instant("config-commit", kind="commit",
-                           config_id=new_id, updates=n_updates)
+    def _commit(self, new_id: int,
+                updates: Dict[int, FragmentInfo]) -> SimGenerator:
+        """Mutate the authoritative table, then publish the configuration:
+        instances first (stale clients must bounce), then subscribers.
 
-    def _commit(self, new_id: int, updates: Dict[int, FragmentInfo]):
-        """Mutate the authoritative table, then push the configuration."""
+        The instant commit span shares the ``config_commit`` event's
+        simulated instant: the timeline reconstructor cross-checks the
+        two streams (id, time) pair by pair.
+        """
         self._config_id = new_id
         for fid, info in updates.items():
             self._fragments[fid] = info
-        self.current = self.current.evolve(new_id, updates)
-        self._emit("config_commit", config=self.current)
-        self._trace_commit(new_id, len(updates))
-        yield from self._push_configuration()
-
-    def _push_configuration(self) -> SimGenerator:
-        """Instances first (stale clients must bounce), then subscribers."""
+        config = self.current = self.current.evolve(new_id, updates)
+        self._emit("config_commit", config=config)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.instant("config-commit", kind="commit",
+                           config_id=new_id, updates=len(updates))
         self.publishes += 1
-        config = self.current
-        calls = []
-        for instance in self.alive_instances():
-            calls.append(self.network.call(
-                instance, CacheOp(op="set_config", value=config)))
+        calls = [self.network.call(instance,
+                                   CacheOp(op="set_config", value=config))
+                 for instance in self.alive_instances()]
         for call in calls:
             try:
                 yield call
@@ -654,13 +557,13 @@ class Coordinator(RemoteNode):
                             client_cfg_id=self._config_id,
                             payload={"fresh": fresh}))
             except (NetworkError, StaleConfiguration):
-                self.notify_dirty_lost(fragment_id)
+                self.on_event("dirty_lost", fragment_id)
                 continue
             if not complete:
                 # The resumed episode's log lost its prefix while the
                 # fragment was in recovery mode (eviction): give up on it
                 # now rather than letting recovery trust a reset list.
-                self.notify_dirty_lost(fragment_id)
+                self.on_event("dirty_lost", fragment_id)
 
     # ------------------------------------------------------------------
     # Monitoring (instance hit ratios; WST termination, Section 3.2.2)
@@ -708,18 +611,15 @@ class Coordinator(RemoteNode):
         while True:
             yield self.monitor_interval
             if self.sim.now - started > self.wst_max_duration:
-                self.notify_wst_done(address)
+                self.on_event("wst_done", address)
                 return
-            fragment_active = any(
-                f.primary == address and f.wst_active
-                for f in self._fragments.values())
-            if not fragment_active:
-                return
-            if address not in self._alive:
+            if address not in self._alive or not any(
+                    f.primary == address and f.wst_active
+                    for f in self._fragments.values()):
                 return
             primary_hit = self._window_hit.get(address)
             if primary_hit is not None and h > 0 and primary_hit >= h:
-                self.notify_wst_done(address)
+                self.on_event("wst_done", address)
                 return
             if self._wst_feedback is not None:
                 episodes = sorted({
@@ -730,13 +630,13 @@ class Coordinator(RemoteNode):
                     got = self._wst_feedback(address, episode)
                     counts["hits"] += got["hits"]
                     counts["misses"] += got["misses"]
-                last = self._last_wst_counts.get(address, {"hits": 0, "misses": 0})
+                last = self._last_wst_counts[address]
                 hits = counts["hits"] - last["hits"]
                 misses = counts["misses"] - last["misses"]
                 self._last_wst_counts[address] = dict(counts)
                 total = hits + misses
                 if total > 10 and misses / total >= m:
-                    self.notify_wst_done(address)
+                    self.on_event("wst_done", address)
                     return
 
     # ------------------------------------------------------------------

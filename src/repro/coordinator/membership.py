@@ -56,13 +56,13 @@ class HeartbeatMonitor:
                 self._misses[address] = 0
                 if self._declared_down[address]:
                     self._declared_down[address] = False
-                    self.coordinator.notify_recovery(address)
+                    self.coordinator.on_event("recover", address)
             else:
                 self._misses[address] += 1
                 if (self._misses[address] >= self.misses_to_fail
                         and not self._declared_down[address]):
                     self._declared_down[address] = True
-                    self.coordinator.notify_failure(address)
+                    self.coordinator.on_event("fail", address)
 
     def _ping(self, address: str) -> SimGenerator:
         try:

@@ -178,7 +178,7 @@ class GeminiCluster:
                 num_shadows=spec.num_shadow_coordinators)
 
         self.injector = FailureInjector(self.sim, nodes=self.instances)
-        self.injector.subscribe(self.coordinator.on_injector_event)
+        self.injector.subscribe(self.coordinator.on_event)
 
         self.clients: List[GeminiClient] = []
         for index in range(spec.num_clients):

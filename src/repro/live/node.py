@@ -360,8 +360,7 @@ async def _run_coordinator(args: Any, spec: Dict[str, Any]) -> None:
     coordinator.start_monitor()
     monitor = HeartbeatMonitor(
         kernel, transport, coordinator, instances,
-        interval=float(spec.get("heartbeat_interval", 0.5)),
-        misses_to_fail=int(spec.get("misses_to_fail", 2)))
+        interval=float(spec.get("heartbeat_interval", 0.5)))
     monitor.start()
     try:
         await _serve_forever(NodeServer(coordinator, port=args.port),
@@ -377,8 +376,7 @@ async def _run_datastore(args: Any, spec: Dict[str, Any]) -> None:
         default_record_size=int(spec.get("record_size", 1024)))
     record_count = int(spec.get("record_count", 0))
     if record_count:
-        keyspace = KeySpace(record_count,
-                            prefix=spec.get("key_prefix", "user"))
+        keyspace = KeySpace(record_count)
         record_size = int(spec.get("record_size", 1024))
         datastore.populate(keyspace.all_keys(),
                            size_of=lambda __: record_size)

@@ -252,6 +252,10 @@ class Process(Event):
     (failure). This is how ``yield other_process`` composes.
     """
 
+    #: The interleaving sanitizer's label for this process, set the
+    #: first time the sanitizer sees it.
+    _san_label: Optional[str] = None
+
     def __init__(self, sim: "Simulator", generator: SimGenerator,
                  name: str = "") -> None:
         super().__init__(sim)

@@ -149,6 +149,10 @@ class SimSanitizer:
         self._finished = False
         # -- actor attribution ------------------------------------------
         self._actor_stack: List[str] = []
+        #: Every label handed out, by sequence number. The process keeps
+        #: its own label (``Process._san_label``) rather than a map keyed
+        #: by id(): a new process can reuse a freed one's address, and
+        #: must not inherit its label, held locks or read records.
         self._proc_labels: Dict[int, str] = {}
         self._proc_seq = 0
         # per-actor atomic-section counter: bumped every time the actor
@@ -213,14 +217,15 @@ class SimSanitizer:
         return self._actor_stack[-1] if self._actor_stack else KERNEL_ACTOR
 
     def _label_for(self, process: "Process") -> str:
-        label = self._proc_labels.get(id(process))
+        label = process._san_label
         if label is None:
             # deterministic sequential numbering: never id()-derived, so
             # findings are byte-stable across runs and machines.
             self._proc_seq += 1
             name = getattr(process, "name", "") or "process"
             label = f"{name}#{self._proc_seq}"
-            self._proc_labels[id(process)] = label
+            self._proc_labels[self._proc_seq] = label
+            process._san_label = label
         return label
 
     def enter_process(self, process: "Process") -> None:

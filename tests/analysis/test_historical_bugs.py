@@ -37,8 +37,9 @@ STAMP_BUGGED = 'self._op("iqget", self.config.config_id,'
 
 #: PR 2's split-brain: a failed-over coordinator kept acting on direct
 #: callbacks because a notification entry point skipped the liveness
-#: check. Reverting any one ``if not self.up: return`` guard
-#: reintroduces the shape.
+#: check. Every lifecycle event now enters through ``on_event``, so
+#: reverting its one ``if not self.up: return`` guard reintroduces the
+#: shape.
 GUARD = "        if not self.up:\n            return\n"
 
 
@@ -65,9 +66,7 @@ class TestPr2LivenessGuardRevert:
                                   rules=[LivenessGuard()])
         assert findings == []
 
-    @pytest.mark.parametrize("handler", [
-        "notify_failure", "notify_dirty_lost", "on_injector_event",
-    ])
+    @pytest.mark.parametrize("handler", ["on_event"])
     def test_reverted_coordinator_fires_gem005(self, handler):
         source = COORDINATOR.read_text()
         lines = source.splitlines(keepends=True)

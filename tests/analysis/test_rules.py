@@ -4,7 +4,9 @@ Each rule is exercised in isolation via ``analyze_source(rules=[...])``
 so a fixture can violate one discipline without tripping the others.
 """
 
+import ast
 import textwrap
+from pathlib import Path
 
 from repro.analysis.core import analyze_source
 from repro.analysis.rules import (
@@ -16,6 +18,9 @@ from repro.analysis.rules import (
     UnguardedDirtyMutation,
     WallClockAndGlobalRandomness,
 )
+
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def check(rule, source):
@@ -382,6 +387,23 @@ class TestGem006MissingProtocolEvent:
                     self.current = config
         """)
         assert findings == []
+
+    def test_coordinator_surface_is_every_method_that_emits(self):
+        # A renamed transition body silently leaves the surface; pin the
+        # table to the methods of the real Coordinator that emit.
+        source = (SRC / "coordinator" / "coordinator.py").read_text()
+        cls = next(node for node in ast.parse(source).body
+                   if isinstance(node, ast.ClassDef)
+                   and node.name == "Coordinator")
+        emitting = {
+            method.name for method in cls.body
+            if isinstance(method, ast.FunctionDef)
+            and method.name != "_emit"
+            and any(isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_emit"
+                    for node in ast.walk(method))}
+        assert MissingProtocolEvent._SURFACE["Coordinator"] == emitting
 
 
 def check_at(rule, path, source):

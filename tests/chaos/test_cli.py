@@ -42,6 +42,25 @@ class TestReplayFile:
         assert main(["--replay", str(path)]) == 1
         assert "fingerprint matches replay file" in capsys.readouterr().out
 
+    def test_mismatch_names_the_differing_violations(self, tmp_path,
+                                                     capsys):
+        path, _, _ = self._failing(tmp_path)
+        payload = json.loads(path.read_text())
+        original = payload["violations"][0]
+        payload["violations"][0] = "[edited] a violation this run lacks"
+        payload["fingerprint"] = "0" * 16
+        path.write_text(json.dumps(payload))
+        assert main(["--replay", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "fingerprint MISMATCH" in out
+        assert ("  only in replay file: [edited] a violation this run lacks"
+                in out.splitlines())
+        assert f"  only in this run:    {original}" in out.splitlines()
+        # Violations both runs reported are not repeated as differences.
+        for shared in payload["violations"][1:]:
+            if shared != original:
+                assert f"only in this run:    {shared}" not in out
+
     def test_replay_seed_mismatch_is_usage_error(self, tmp_path, capsys):
         path, _, _ = self._failing(tmp_path)
         assert main(["--replay", str(path), "--seed", "999"]) == 2

@@ -75,9 +75,9 @@ class TestBackToBackOutages:
         # terminated — without this, the next failure is an arrow-5
         # resumption that correctly *keeps* the episode).
         for fragment in recovering:
-            coordinator.notify_dirty_done(fragment.fragment_id)
+            coordinator.on_event("dirty_done", fragment.fragment_id)
         settle(cluster)
-        coordinator.notify_wst_done("cache-0")
+        coordinator.on_event("wst_done", "cache-0")
         settle(cluster)
         assert all(f.mode is FragmentMode.NORMAL
                    for f in coordinator.current.fragments
@@ -127,9 +127,9 @@ class TestBackToBackOutages:
         for __ in range(200):
             client.wst.observe("cache-0", episode_1, True)
         for fragment in fragments:
-            coordinator.notify_dirty_done(fragment.fragment_id)
+            coordinator.on_event("dirty_done", fragment.fragment_id)
         settle(cluster)
-        coordinator.notify_wst_done("cache-0")
+        coordinator.on_event("wst_done", "cache-0")
         settle(cluster)
 
         # Outage 2: pure misses. m-threshold must fire on its own.

@@ -128,7 +128,7 @@ class TestGeminiRecovery:
         cluster.recover_instance("cache-0")
         settle(cluster)
         for fragment in fragments_of(cluster, "cache-0"):
-            cluster.coordinator.notify_dirty_done(fragment.fragment_id)
+            cluster.coordinator.on_event("dirty_done", fragment.fragment_id)
         settle(cluster)
         normal = fragments_of(cluster, "cache-0", FragmentMode.NORMAL)
         assert len(normal) == 4
@@ -265,7 +265,7 @@ class TestDirtyLost:
         settle(cluster)
         fragment = fragments_of(cluster, "cache-0",
                                 FragmentMode.TRANSIENT)[0]
-        cluster.coordinator.notify_dirty_lost(fragment.fragment_id)
+        cluster.coordinator.on_event("dirty_lost", fragment.fragment_id)
         settle(cluster)
         updated = cluster.coordinator.current.fragment(fragment.fragment_id)
         assert updated.mode is FragmentMode.NORMAL
@@ -275,7 +275,7 @@ class TestDirtyLost:
     def test_dirty_lost_outside_transient_ignored(self):
         cluster = build_cluster()
         before = cluster.coordinator.current.config_id
-        cluster.coordinator.notify_dirty_lost(0)
+        cluster.coordinator.on_event("dirty_lost", 0)
         settle(cluster)
         assert cluster.coordinator.current.config_id == before
 

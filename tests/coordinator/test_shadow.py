@@ -43,7 +43,7 @@ class TestPromotion:
         promoted = ensemble.fail_master()
         # Clients subscribed to the old master must hear from the new one.
         client = cluster.clients[0]
-        promoted.notify_failure("cache-0")
+        promoted.on_event("fail", "cache-0")
         cluster.sim.run(until=1.0)
         assert client.cache.config_id == promoted.current.config_id
 
@@ -51,7 +51,7 @@ class TestPromotion:
         """A failure handled entirely by the promoted coordinator."""
         cluster, ensemble = make_ensemble()
         promoted = ensemble.fail_master()
-        promoted.notify_failure("cache-1")
+        promoted.on_event("fail", "cache-1")
         cluster.sim.run(until=1.0)
         fragments = promoted.current.fragments_with_primary("cache-1")
         assert all(f.mode is FragmentMode.TRANSIENT for f in fragments)

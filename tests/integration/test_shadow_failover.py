@@ -40,7 +40,7 @@ class TestCoordinatorFailover:
                 client.coordinator_address = promoted.address
             for worker in cluster.workers:
                 worker.coordinator_address = promoted.address
-            cluster.injector.subscribe(promoted.on_injector_event)
+            cluster.injector.subscribe(promoted.on_event)
             promoted.start_monitor()
 
         # Master dies mid-outage; the recovery event must be handled by
@@ -60,7 +60,7 @@ class TestCoordinatorFailover:
             ids.append(cluster.ensemble.active.current.config_id)
             promoted = cluster.ensemble.fail_master()
             ids.append(promoted.current.config_id)
-            cluster.injector.subscribe(promoted.on_injector_event)
+            cluster.injector.subscribe(promoted.on_event)
 
         cluster.sim.schedule_at(12.0, promote)
         experiment.run()

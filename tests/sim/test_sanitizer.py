@@ -73,6 +73,22 @@ class TestActorAttribution:
         labels = sorted(sanitizer._proc_labels.values())
         assert labels == ["w#1", "w#2"]
 
+    def test_new_process_never_inherits_a_dead_ones_label(self, ssim):
+        # CPython hands a freed process's address to the next one; a
+        # label that followed the address made findings (and chaos
+        # fingerprints) depend on the allocator.
+        sim, sanitizer = ssim
+
+        def worker():
+            yield 1.0
+
+        labels = []
+        for __ in range(20):
+            labels.append(sanitizer._label_for(
+                sim.process(worker(), name="w")))
+            sim.run()
+        assert labels == [f"w#{n}" for n in range(1, 21)]
+
     def test_current_actor_tracks_the_running_process(self, ssim):
         sim, sanitizer = ssim
         seen = []
