@@ -154,7 +154,8 @@ class CacheInstance(RemoteNode):
     def handle_request(self, request: CacheOp) -> Any:
         if not self.up:
             raise InstanceDown(self.address)
-        if request.op not in _CONFIG_EXEMPT_OPS:
+        if (request.client_cfg_id != self.known_config_id
+                and request.op not in _CONFIG_EXEMPT_OPS):
             self._check_config_id(request.client_cfg_id)
         handler = getattr(self, f"op_{request.op}", None)
         if handler is None:

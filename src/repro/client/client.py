@@ -247,8 +247,12 @@ class GeminiClient:
                             fragment_id=fragment.fragment_id,
                             mode=fragment.mode.name, config_id=cfg)
                 try:
-                    value, hit, instance = yield from self._read_once(
-                        fragment, key, cfg)
+                    if fragment.mode is FragmentMode.RECOVERY:
+                        value, hit, instance = yield from (
+                            self._read_recovery(fragment, key, cfg))
+                    else:
+                        value, hit, instance = yield from self._read_via(
+                            fragment.serving_replica(), fragment, key, cfg)
                     if attempt_span is not None:
                         tracer.end(attempt_span)
                     break
@@ -412,12 +416,6 @@ class GeminiClient:
     # ------------------------------------------------------------------
     # Read paths
     # ------------------------------------------------------------------
-    def _read_once(self, fragment: FragmentInfo, key: str, cfg: int) -> SimGenerator:
-        if fragment.mode is FragmentMode.RECOVERY:
-            return (yield from self._read_recovery(fragment, key, cfg))
-        target = fragment.serving_replica()
-        return (yield from self._read_via(target, fragment, key, cfg))
-
     def _read_via(self, target: str, fragment: FragmentInfo, key: str, cfg: int) -> SimGenerator:
         """Normal/transient read: iqget, fill on miss (IQ protocol)."""
         outcome = yield self.network.call(

@@ -51,8 +51,12 @@ class LatencyReservoir:
         self._exact_sum = 0.0
         self._exact_count = 0
 
-    def add(self, when: float, latency: float) -> None:
-        bucket = bucket_index(when, self.bucket_width)
+    def add(self, when: float, latency: float, *,
+            bucket: Optional[int] = None) -> None:
+        """Sample ``latency`` observed at ``when``; ``bucket`` is ``when``'s
+        bucket index when the caller already computed it."""
+        if bucket is None:
+            bucket = bucket_index(when, self.bucket_width)
         reservoir = self._buckets.get(bucket)
         if reservoir is None:
             reservoir = self._buckets[bucket] = _Reservoir()

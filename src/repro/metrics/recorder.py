@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.metrics.bucketing import bucket_index
 from repro.metrics.latency import LatencyReservoir
 from repro.metrics.series import TimeSeries, WindowedCounter
 from repro.sim.rng import RngRegistry
@@ -57,25 +58,28 @@ class OpRecorder:
 
     def record_read(self, start: float, end: float, hit: bool,
                     instance: Optional[str], store_direct: bool = False) -> None:
+        # Every series shares bucket_width: one bucket per operation.
+        bucket = bucket_index(end, self.bucket_width)
         self.reads += 1
-        self.throughput.add(end)
-        self.read_latency.add(end, end - start)
+        self.throughput.add(end, bucket=bucket)
+        self.read_latency.add(end, end - start, bucket=bucket)
         if store_direct:
             self.store_direct_reads += 1
             return  # bypassed the cache entirely: not a lookup
-        self.hit_ratio.observe(end, hit)
+        self.hit_ratio.observe(end, hit, bucket=bucket)
         if hit:
             self.cache_hits += 1
         else:
             self.datastore_reads += 1
         if instance is not None:
-            self._instance_counter(instance).observe(end, hit)
+            self._instance_counter(instance).observe(end, hit, bucket=bucket)
 
     def record_write(self, start: float, end: float,
                      suspended_for: float = 0.0) -> None:
+        bucket = bucket_index(end, self.bucket_width)
         self.writes += 1
-        self.throughput.add(end)
-        self.write_latency.add(end, end - start)
+        self.throughput.add(end, bucket=bucket)
+        self.write_latency.add(end, end - start, bucket=bucket)
         if suspended_for > 0:
             self.suspended_writes += 1
 

@@ -25,10 +25,15 @@ class TimeSeries:
         self._count: Dict[int, int] = {}
         self._sum: Dict[int, float] = {}
 
-    def add(self, when: float, value: float = 1.0) -> None:
-        bucket = bucket_index(when, self.bucket_width)
-        self._count[bucket] = self._count.get(bucket, 0) + 1
-        self._sum[bucket] = self._sum.get(bucket, 0.0) + value
+    def add(self, when: float, value: float = 1.0, *,
+            bucket: Optional[int] = None) -> None:
+        """Observe ``value`` at ``when``; ``bucket`` is ``when``'s bucket
+        index when the caller already computed it."""
+        if bucket is None:
+            bucket = bucket_index(when, self.bucket_width)
+        count, total = self._count, self._sum
+        count[bucket] = count.get(bucket, 0) + 1
+        total[bucket] = total.get(bucket, 0.0) + value
 
     def count_at(self, when: float) -> int:
         return self._count.get(bucket_index(when, self.bucket_width), 0)
@@ -81,13 +86,18 @@ class WindowedCounter:
         #: measurement start.
         self._last: Dict[int, float] = {}
 
-    def observe(self, when: float, success: bool) -> None:
-        bucket = bucket_index(when, self.bucket_width)
-        self._den[bucket] = self._den.get(bucket, 0) + 1
-        if when >= self._last.get(bucket, when):
-            self._last[bucket] = when
+    def observe(self, when: float, success: bool, *,
+                bucket: Optional[int] = None) -> None:
+        """Count one trial at ``when`` (``bucket`` as in TimeSeries.add)."""
+        if bucket is None:
+            bucket = bucket_index(when, self.bucket_width)
+        den, last = self._den, self._last
+        den[bucket] = den.get(bucket, 0) + 1
+        if when >= last.get(bucket, when):
+            last[bucket] = when
         if success:
-            self._num[bucket] = self._num.get(bucket, 0) + 1
+            num = self._num
+            num[bucket] = num.get(bucket, 0) + 1
 
     def ratio_at(self, when: float) -> Optional[float]:
         bucket = bucket_index(when, self.bucket_width)
