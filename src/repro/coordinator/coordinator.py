@@ -522,6 +522,11 @@ class Coordinator(RemoteNode):
         self._config_id = new_id
         for fid, info in updates.items():
             self._fragments[fid] = info
+            if info.mode is not FragmentMode.RECOVERY:
+                # A fallback dirty copy serves one recovery episode; a
+                # fragment leaving recovery mode (by any transition)
+                # must not hand it to a later episode.
+                self._dirty_copy.pop(fid, None)
         config = self.current = self.current.evolve(new_id, updates)
         self._emit("config_commit", config=config)
         tracer = self.sim.tracer

@@ -18,13 +18,16 @@ Every commit feeds the chaos engine's :class:`MonotoneConfigInvariant`
 and :class:`ConfigStructureInvariant` (whose ``_LEGAL`` table stays the
 independent statement of Figure 4), and every transition process must
 finish cleanly: one that dies would leave its exception unobserved.
+Every state must also keep the coordinator's fallback dirty-list copies
+to fragments in recovery mode, each taken in the fragment's current
+episode (:func:`_dirty_copy_violations`).
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 import pytest
 
@@ -135,18 +138,20 @@ def _run(policy, state: Dict[str, Any], event: Tuple[str, Any],
                 f"{proc.name} did not finish cleanly after {event}"
     assert coordinator._lock.available == 1, \
         f"transition lock still held after {event}"
+    recopied = {e.get("fragment_id") for e in log.of_kind("recovery_dirty")}
     return coordinator.snapshot_state(), log.of_kind("config_commit"), \
-        answers
+        answers, recopied
 
 
 def _outcomes(policy, state, event):
-    """Every (state, commits) one event can lead to, one per distinct
-    sequence of stub answers."""
+    """Every (state, commits, re-copied fragments) one event can lead
+    to, one per distinct sequence of stub answers."""
     pending: List[Tuple[int, ...]] = [()]
     while pending:
         prefix = pending.pop()
-        after, commits, answers = _run(policy, state, event, prefix)
-        yield after, commits
+        after, commits, answers, recopied = _run(policy, state, event,
+                                                 prefix)
+        yield after, commits, recopied
         for depth in range(len(prefix), len(answers.taken)):
             for alternative in range(1, answers.widths[depth]):
                 pending.append(tuple(answers.taken[:depth]) + (alternative,))
@@ -188,6 +193,31 @@ def _checkers(config: Configuration) -> List[Invariant]:
     return checkers
 
 
+def _dirty_copy_violations(before: Dict[str, Any], after: Dict[str, Any],
+                           recopied: Set[int]) -> List[str]:
+    """A fallback dirty copy exists only for a fragment in recovery mode,
+    and only for its current episode: one that outlives a step without
+    being re-taken (``recopied``) must have been in recovery mode, in
+    the same episode, before the step too."""
+    modes_before = {f.fragment_id: f for f in before["config"].fragments}
+    out = []
+    for fragment in after["config"].fragments:
+        fid = fragment.fragment_id
+        if fid not in after["dirty_copy"]:
+            continue
+        if fragment.mode is not FragmentMode.RECOVERY:
+            out.append(f"dirty copy of fragment {fid} kept in "
+                       f"{fragment.mode.name} mode")
+            continue
+        earlier = modes_before[fid]
+        if fid in before["dirty_copy"] and fid not in recopied and (
+                earlier.mode is not FragmentMode.RECOVERY
+                or earlier.episode != fragment.episode):
+            out.append(f"dirty copy of fragment {fid} carried from "
+                       f"episode {earlier.episode} into {fragment.episode}")
+    return out
+
+
 def _explore(policy) -> Tuple[int, int, List[str]]:
     """Breadth-first over every event and answer to ``DEPTH``; returns
     (distinct states, commits checked, invariant violations)."""
@@ -201,13 +231,15 @@ def _explore(policy) -> Tuple[int, int, List[str]]:
         if depth == DEPTH:
             continue
         for event in EVENTS:
-            for after, commits in _outcomes(policy, state, event):
+            for after, commits, recopied in _outcomes(policy, state, event):
                 checkers = _checkers(state["config"])
                 for commit in commits:
                     commits_checked += 1
                     for checker in checkers:
                         violations += [f"{event}: {v}"
                                        for v in checker.on_event(commit)]
+                violations += [f"{event}: {v}" for v in
+                               _dirty_copy_violations(state, after, recopied)]
                 key = _normalized(after)
                 if key not in seen:
                     seen.add(key)
@@ -224,11 +256,18 @@ def test_every_reachable_state_commits_legal_configurations(policy):
     assert states > 50 and commits > states
 
 
-def _walk(policy, *steps: Tuple[Tuple[str, Any], Sequence[int]]):
-    """The state after ``steps``, each an event and its stub answers."""
+def _walk_state(policy, *steps: Tuple[Tuple[str, Any], Sequence[int]]):
+    """The coordinator state after ``steps``, each an event and its stub
+    answers."""
     state = _cluster(policy, _Answers(()))[1].snapshot_state()
     for event, prefix in steps:
         state = _run(policy, state, event, prefix)[0]
+    return state
+
+
+def _walk(policy, *steps: Tuple[Tuple[str, Any], Sequence[int]]):
+    """The fragments after ``steps`` (see _walk_state)."""
+    state = _walk_state(policy, *steps)
     return {f.fragment_id: f for f in state["config"].fragments}
 
 
@@ -261,3 +300,18 @@ class TestFoundBySearch:
         assert fragments[0].primary == "cache-1"
         assert fragments[0].mode is FragmentMode.RECOVERY
         assert fragments[0].secondary is None
+
+    def test_dirty_copy_dropped_when_recovery_is_cut_short(self):
+        # Fragment 0 recovers on cache-0 from a complete list, so the
+        # coordinator keeps a fallback copy of it. cache-0 fails again
+        # and the new secondary cannot certify its list (answer 1), so
+        # dirty_lost promotes it: fragment 0 is NORMAL, and the copy of
+        # the finished episode must go with the recovery mode it served
+        # (a later episode whose own get_dirty misses would hand it out).
+        state = _walk_state(GEMINI_O, (("fail", "cache-0"), ()),
+                            (("recover", "cache-0"), ()),
+                            (("fail", "cache-0"), (1,)))
+        fragment = state["config"].fragments[0]
+        assert fragment.mode is FragmentMode.NORMAL
+        assert fragment.primary != "cache-0"
+        assert 0 not in state["dirty_copy"]
