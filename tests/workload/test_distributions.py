@@ -47,6 +47,21 @@ class TestZipfian:
         assert counts[0] / 50_000 == pytest.approx(gen.probability(0),
                                                    rel=0.1)
 
+    @pytest.mark.parametrize("n, theta", [(1, 0.99), (100, 0.8),
+                                          (3000, 0.8), (6000, 0.99),
+                                          (1000, 100.0)])
+    def test_draws_match_numpy_searchsorted(self, n, theta):
+        # The reference: numpy's left-side binary search over the same
+        # CDF and the same uniform draws picks every rank identically.
+        np = pytest.importorskip("numpy")
+        gen = ZipfianGenerator(n, theta=theta, rng=random.Random(9))
+        cdf = np.asarray(gen._cdf)
+        uniforms = random.Random(9)
+        for __ in range(20_000):
+            expected = int(np.searchsorted(cdf, uniforms.random(),
+                                           side="left"))
+            assert gen.next() == expected
+
     def test_deterministic_given_seed(self):
         a = ZipfianGenerator(100, rng=random.Random(5))
         b = ZipfianGenerator(100, rng=random.Random(5))
