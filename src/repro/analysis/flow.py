@@ -76,7 +76,6 @@ DEFAULT_PROJECT_MODULES: Tuple[str, ...] = (
     "repro/cache/instance.py",
     "repro/cache/leases.py",
     "repro/cache/dirtylist.py",
-    "repro/cache/eviction.py",
     "repro/config/configuration.py",
     "repro/coordinator/coordinator.py",
     "repro/coordinator/membership.py",

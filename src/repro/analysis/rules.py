@@ -293,7 +293,7 @@ class UnguardedDirtyMutation(Rule):
 
     _MUTATING_OPS = {
         "mdelete", "batch_iset", "batch_iqset", "delete_dirty",
-        "iset", "iqset", "idelete", "remove_dirty_key",
+        "iset", "iqset",
     }
 
     def _applies(self, ctx: ModuleContext, cls: ast.ClassDef) -> bool:

@@ -41,8 +41,8 @@ class DirtyPage:
     """One chunk of a dirty list, fetched via ``op_get_dirty_page``.
 
     ``cursor`` is the sequence number of the last key in the page; passing
-    it back as ``after`` resumes the scan even if earlier keys were
-    concurrently repaired (and removed) in the meantime.
+    it back as ``after`` resumes the scan there, and keys appended in the
+    meantime (later sequence numbers) are fetched by the later pages.
     """
 
     keys: Tuple[str, ...]
@@ -55,9 +55,9 @@ class DirtyList:
     """An ordered, deduplicated set of dirty keys plus the eviction marker.
 
     Each key carries a monotonically increasing sequence number assigned
-    at first insertion; :meth:`page` scans in sequence order, which makes
-    chunked fetches robust against concurrent :meth:`discard` calls (a
-    removed cursor key cannot shift the remaining keys' positions).
+    at first insertion; :meth:`page` scans in sequence order, so a chunked
+    fetch resumes from a cursor, and a key re-appended behind the cursor
+    is not fetched twice.
     """
 
     __slots__ = ("fragment_id", "marker", "_keys", "_size", "_next_seq")
@@ -87,16 +87,6 @@ class DirtyList:
             self._next_seq += 1
             self._keys[key] = self._next_seq
             self._size += len(key) + _PER_KEY_OVERHEAD
-
-    def discard(self, key: str) -> bool:
-        sanitizer = _sanitizer_active()
-        if sanitizer is not None:
-            sanitizer.record_write("dirty", f"fragment:{self.fragment_id}")
-        if key in self._keys:
-            del self._keys[key]
-            self._size -= len(key) + _PER_KEY_OVERHEAD
-            return True
-        return False
 
     def keys(self) -> List[str]:
         """Snapshot of the dirty keys in insertion order."""

@@ -11,7 +11,7 @@ coordinator bumps the fragment's id and the entries die lazily.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = ["CacheEntry", "ENTRY_OVERHEAD_BYTES"]
@@ -31,10 +31,6 @@ class CacheEntry:
     config_id: int
     key_size: int = 0
     value_size: int = 0
-    inserted_at: float = 0.0
-    last_access: float = 0.0
-    #: CLOCK reference bit; unused by LRU/FIFO.
-    referenced: bool = field(default=False, repr=False)
 
     @property
     def size(self) -> int:

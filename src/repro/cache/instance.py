@@ -1,11 +1,11 @@
 """The persistent cache instance (the paper's extended IQ-Twemcached).
 
 A :class:`CacheInstance` is a network node storing :class:`CacheEntry`
-objects under a byte budget with a pluggable eviction policy. On top of
-plain get/set/delete it speaks:
+objects under a byte budget, evicting the least recently used entry as
+memcached does. On top of plain get/set/delete it speaks:
 
-* the **IQ protocol** — ``iqget``/``iqset``/``iset``/``idelete``/
-  ``qareg``/``dar`` (Section 2.3, Algorithms 1–3);
+* the **IQ protocol** — ``iqget``/``iqset``/``iset``/``qareg``/``dar``
+  (Section 2.3, Algorithms 1–3);
 * **dirty-list** operations — create (with marker), append, fetch, delete
   (Section 3.1), plus Redlease acquire/release for recovery workers;
 * the **Rejig configuration-id protocol** — every request carries the
@@ -22,12 +22,12 @@ baseline wipes them via :meth:`wipe`.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.dirtylist import DirtyList, dirty_list_key
 from repro.cache.entry import CacheEntry
-from repro.cache.eviction import EvictionPolicy, LruPolicy
 from repro.cache.leases import LeaseTable, Redlease
 from repro.errors import (
     CacheError,
@@ -49,8 +49,7 @@ CONFIG_ENTRY_KEY = "__gemini:config"
 #: ``red_release`` is checked by its token instead and only gives the
 #: Redlease up, so a pass whose configuration moved can still free it.
 _CONFIG_EXEMPT_OPS = frozenset({
-    "get_config", "set_config", "notify_config_id", "stats", "ping", "wipe",
-    "red_release",
+    "get_config", "set_config", "stats", "ping", "wipe", "red_release",
 })
 
 
@@ -103,7 +102,6 @@ class CacheInstance(RemoteNode):
     """A single persistent cache instance."""
 
     def __init__(self, sim: Kernel, address: str, memory_bytes: int,
-                 policy: Optional[EvictionPolicy] = None,
                  iq_lifetime: float = 0.010,
                  red_lifetime: float = 2.0,
                  servers: int = 16,
@@ -113,9 +111,10 @@ class CacheInstance(RemoteNode):
         #: Optional structured protocol-event stream (verify.events).
         self.event_log = event_log
         self.memory_bytes = memory_bytes
-        self.policy = policy if policy is not None else LruPolicy()
         self.base_service_time = base_service_time
-        self._entries: Dict[str, CacheEntry] = {}
+        #: Every entry, least recently used first: a touch moves its key
+        #: to the end, eviction takes the first.
+        self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
         self._used = 0
         self.leases = LeaseTable(lambda: sim.now, iq_lifetime=iq_lifetime)
         self.red = Redlease(lambda: sim.now, lifetime=red_lifetime)
@@ -179,7 +178,6 @@ class CacheInstance(RemoteNode):
     def wipe(self) -> None:
         """Discard all content — the VolatileCache baseline's recovery."""
         self._entries.clear()
-        self.policy.clear()
         self._used = 0
         self._emit("instance_wiped")
 
@@ -203,25 +201,18 @@ class CacheInstance(RemoteNode):
             self._remove(key)
             self.stats.invalid_discards += 1
             return None
-        entry.last_access = self.sim.now
-        entry.referenced = True
-        self.policy.on_access(key)
+        self._entries.move_to_end(key)
         return entry
 
     def _store(self, key: str, value: Any, config_id: int,
                value_size: int) -> CacheEntry:
-        old = self._entries.get(key)
+        old = self._entries.pop(key, None)
         if old is not None:
             self._used -= old.size
-            self.policy.on_remove(key)
-        entry = CacheEntry(
-            key=key, value=value, config_id=config_id,
-            key_size=len(key), value_size=value_size,
-            inserted_at=self.sim.now, last_access=self.sim.now,
-        )
+        entry = CacheEntry(key=key, value=value, config_id=config_id,
+                           key_size=len(key), value_size=value_size)
         self._entries[key] = entry
         self._used += entry.size
-        self.policy.on_insert(key)
         self._evict_to_budget(protect=key)
         return entry
 
@@ -230,7 +221,6 @@ class CacheInstance(RemoteNode):
         if entry is None:
             return False
         self._used -= entry.size
-        self.policy.on_remove(key)
         return True
 
     def _recharge(self, key: str, old_size: int) -> None:
@@ -240,20 +230,19 @@ class CacheInstance(RemoteNode):
         self._evict_to_budget(protect=key)
 
     def _evict_to_budget(self, protect: Optional[str] = None) -> None:
-        while self._used > self.memory_bytes and len(self._entries) > 1:
-            victim = self.policy.victim()
-            if victim is None:
-                break
+        entries = self._entries
+        while self._used > self.memory_bytes and len(entries) > 1:
+            victim = next(iter(entries))
             if victim == protect:
                 # Refresh and pick again; if it is the only entry we stop
                 # (a single oversized entry is allowed to overflow).
-                self.policy.on_access(victim)
-                alternative = self.policy.victim()
-                if alternative == victim or alternative is None:
+                entries.move_to_end(victim)
+                alternative = next(iter(entries))
+                if alternative == victim:
                     break
                 victim = alternative
-            entry = self._entries.get(victim)
-            if entry is not None and isinstance(entry.value, DirtyList):
+            entry = entries[victim]
+            if isinstance(entry.value, DirtyList):
                 self.stats.dirty_list_evictions += 1
                 self._emit("dirty_evicted",
                            fragment_id=entry.value.fragment_id)
@@ -347,8 +336,8 @@ class CacheInstance(RemoteNode):
         """Per-key ``iqset`` with per-key lease tokens.
 
         ``payload`` is a sequence of ``(key, value, token)`` triples. A
-        value of CACHE_MISS means "release and delete" (the batched
-        equivalent of ``idelete`` — the secondary had no copy either).
+        value of CACHE_MISS means "release the I lease and delete"
+        (Algorithm 3 line 16 — the secondary had no copy either).
         """
         results: Dict[str, bool] = {}
         for key, value, token in request.payload:
@@ -409,13 +398,6 @@ class CacheInstance(RemoteNode):
         self._store(request.key, request.value, request.tag(), size)
         return True
 
-    def op_idelete(self, request: CacheOp) -> bool:
-        """Release an I lease without installing (Algorithm 3 line 16)."""
-        released = self.leases.release_i(request.key, request.token)
-        if self._remove(request.key):
-            self.stats.deletes += 1
-        return released
-
     def op_qareg(self, request: CacheOp) -> int:
         """Acquire a Q lease (write intent). Voids any I lease; if the Q
         lease expires unreleased the instance deletes the entry."""
@@ -458,7 +440,7 @@ class CacheInstance(RemoteNode):
         key = dirty_list_key(request.fragment_id)
         existing = self._entries.get(key)
         if existing is not None and existing.value.complete:
-            self.policy.on_access(key)
+            self._entries.move_to_end(key)
             self._emit("dirty_created", fragment_id=request.fragment_id,
                        marker=True, preserved=True)
             return True
@@ -480,7 +462,7 @@ class CacheInstance(RemoteNode):
             entry = self._store(key, dirty, request.tag(), dirty.size)
             self._emit("dirty_recreated", fragment_id=request.fragment_id)
         else:
-            self.policy.on_access(key)
+            self._entries.move_to_end(key)
         dirty = entry.value
         old_size = entry.size
         dirty.append(request.key)
@@ -494,7 +476,7 @@ class CacheInstance(RemoteNode):
         entry = self._entries.get(dirty_list_key(request.fragment_id))
         if entry is None:
             return CACHE_MISS
-        self.policy.on_access(entry.key)
+        self._entries.move_to_end(entry.key)
         return entry.value
 
     def op_get_dirty_page(self, request: CacheOp) -> Any:
@@ -507,21 +489,9 @@ class CacheInstance(RemoteNode):
         entry = self._entries.get(dirty_list_key(request.fragment_id))
         if entry is None:
             return CACHE_MISS
-        self.policy.on_access(entry.key)
+        self._entries.move_to_end(entry.key)
         return entry.value.page(request.payload.get("after", 0),
                                 request.payload.get("limit", 64))
-
-    def op_remove_dirty_key(self, request: CacheOp) -> bool:
-        """Drop one repaired key from the list (Algorithm 1 line 8)."""
-        entry = self._entries.get(dirty_list_key(request.fragment_id))
-        if entry is None:
-            return False
-        old_size = entry.size
-        removed = entry.value.discard(request.key)
-        if removed:
-            entry.value_size = entry.value.size
-            self._recharge(entry.key, old_size)
-        return removed
 
     def op_delete_dirty(self, request: CacheOp) -> bool:
         removed = self._remove(dirty_list_key(request.fragment_id))
@@ -574,13 +544,8 @@ class CacheInstance(RemoteNode):
         entry = self._entries.get(CONFIG_ENTRY_KEY)
         if entry is None:
             return CACHE_MISS
-        self.policy.on_access(CONFIG_ENTRY_KEY)
+        self._entries.move_to_end(CONFIG_ENTRY_KEY)
         return entry.value
-
-    def op_notify_config_id(self, request: CacheOp) -> int:
-        if request.client_cfg_id > self.known_config_id:
-            self.known_config_id = request.client_cfg_id
-        return self.known_config_id
 
     def op_stats(self, request: CacheOp) -> Dict[str, Any]:
         snap = self.stats.snapshot()

@@ -41,7 +41,7 @@ Mutants:
     the extra release plus an unobserved ``crashed-process`` at
     teardown.
 
-A note on what is *not* here: two mutants were tried and retired
+A note on what is *not* here: three mutants were tried and retired
 because randomized schedules essentially never land in their windows.
 A "stamp the current configuration id instead of the session's" mutant
 (the Rejig bug PR 1 fixed) went undetected in 100 seeds — pushes in
@@ -53,8 +53,15 @@ the targeted property test in
 immediately) went undetected in 200 sanitized seeds for the same
 reason: transition handlers commit within a few hundred microseconds
 of reading the configuration id, so two transitions virtually never
-overlap the read→commit window even unlocked. Chaos search, the
-sanitizer, and property tests are complements, not substitutes.
+overlap the read→commit window even unlocked. A "dirty-copy-miss"
+mutant (``Coordinator.op_get_dirty_copy`` always answers ``[]``) stayed
+clean in 200 plain and 200 sanitized seeds: a client or worker asks for
+the coordinator's copy only when the secondary holding the dirty list
+died during recovery. The integration test
+``tests/integration/test_secondary_loss.py::TestSecondaryFailsDuringRecovery::test_dirty_copy_fallback_preserves_consistency``
+pins it: under the mutant a read returns the pre-write value. Chaos
+search, the sanitizer, and property tests are complements, not
+substitutes.
 """
 
 from __future__ import annotations
@@ -100,7 +107,7 @@ def _drop_dirty_append() -> Iterator[None]:
         if entry is not None and entry.value.complete:
             # BUG (re-introduced): acknowledge the append as complete
             # without recording the key in the write log.
-            self.policy.on_access(entry.key)
+            self._entries.move_to_end(entry.key)
             self.stats.dirty_appends += 1
             return True
         return original(self, request)

@@ -183,7 +183,6 @@ def build_trial(spec: TrialSpec):
         seed=spec.seed,
         cache_db_ratio=spec.cache_db_ratio,
         num_shadow_coordinators=spec.num_shadows,
-        events=True,
     )
     cluster = GeminiCluster(cluster_spec)
     registry = cluster.install_invariants()

@@ -46,6 +46,13 @@ class GeminiClient:
     """One application-side Gemini client library instance."""
 
     MAX_ATTEMPTS = 200
+    #: Lease back-off: a jittered exponential delay from BACKOFF_BASE,
+    #: capped at BACKOFF_CAP (seconds).
+    BACKOFF_BASE = 0.001
+    BACKOFF_CAP = 0.016
+    #: How long a write waits before retrying while its fragment has no
+    #: reachable serving replica (seconds).
+    SUSPENSION_DELAY = 0.02
 
     def __init__(self, sim: Kernel, network: Transport,
                  policy: RecoveryPolicy,
@@ -56,9 +63,6 @@ class GeminiClient:
                  recorder: Optional[OpRecorder] = None,
                  *,
                  rng: random.Random,
-                 backoff_base: float = 0.001,
-                 backoff_cap: float = 0.016,
-                 suspension_delay: float = 0.02,
                  event_log: Optional[EventLog] = None) -> None:
         self.sim = sim
         #: Optional structured protocol-event stream (verify.events).
@@ -73,9 +77,6 @@ class GeminiClient:
         self.oracle = oracle
         self.recorder = recorder
         self.rng = rng
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.suspension_delay = suspension_delay
         self.cache = ConfigCache()
         self.wst = WstTracker()
         #: Local dirty-list copies per fragment in recovery mode.
@@ -159,7 +160,7 @@ class GeminiClient:
             return None
 
     def _backoff_delay(self, attempt: int) -> float:
-        cap = min(self.backoff_cap, self.backoff_base * (2 ** min(attempt, 6)))
+        cap = min(self.BACKOFF_CAP, self.BACKOFF_BASE * (2 ** min(attempt, 6)))
         return cap * (0.5 + 0.5 * self.rng.random())
 
     def _store_read(self, key: str) -> SimGenerator:
@@ -278,7 +279,7 @@ class GeminiClient:
                                           "unavailable", attempt_started,
                                           attempt, fragment, cfg)
                         attempt_span = None
-                    yield self.suspension_delay
+                    yield self.SUSPENSION_DELAY
                     yield from self._refresh_config()
                 except _UNREACHABLE:
                     if tracer is not None:
@@ -297,7 +298,7 @@ class GeminiClient:
                         value = yield from self._store_read(key)
                         store_direct = True
                         break
-                    yield self.suspension_delay
+                    yield self.SUSPENSION_DELAY
         finally:
             if tracer is not None:
                 # Idempotent closes: an unexpected exception mid-attempt
@@ -379,8 +380,8 @@ class GeminiClient:
                                           "unavailable", attempt_started,
                                           attempt, fragment, cfg)
                         attempt_span = None
-                    suspended += self.suspension_delay
-                    yield self.suspension_delay
+                    suspended += self.SUSPENSION_DELAY
+                    yield self.SUSPENSION_DELAY
                     yield from self._refresh_config()
                 except _UNREACHABLE:
                     if tracer is not None:
@@ -388,11 +389,11 @@ class GeminiClient:
                                           "unreachable", attempt_started,
                                           attempt, fragment, cfg)
                         attempt_span = None
-                    suspended += self.suspension_delay
+                    suspended += self.SUSPENSION_DELAY
                     suspect = self._suspect(fragment)
                     if suspect is not None:
                         yield from self._report_failure(suspect)
-                    yield self.suspension_delay
+                    yield self.SUSPENSION_DELAY
                     yield from self._refresh_config()
         finally:
             if tracer is not None:

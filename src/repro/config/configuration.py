@@ -81,9 +81,6 @@ class Configuration:
     def fragments_with_primary(self, address: str) -> List[FragmentInfo]:
         return [f for f in self.fragments if f.primary == address]
 
-    def fragments_with_secondary(self, address: str) -> List[FragmentInfo]:
-        return [f for f in self.fragments if f.secondary == address]
-
     def evolve(self, new_config_id: int,
                updates: Dict[int, FragmentInfo]) -> "Configuration":
         """Next configuration: replace the given fragments, keep the rest."""

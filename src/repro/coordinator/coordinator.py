@@ -156,9 +156,6 @@ class Coordinator(RemoteNode):
     def is_alive(self, address: str) -> bool:
         return address in self._alive
 
-    def pre_failure_hit_ratio(self, address: str) -> Optional[float]:
-        return self._pre_failure_hit.get(address)
-
     # ------------------------------------------------------------------
     # RPC surface
     # ------------------------------------------------------------------
@@ -176,10 +173,6 @@ class Coordinator(RemoteNode):
 
     def op_report_failure(self, request: CoordinatorOp) -> bool:
         self.on_event("fail", request.address)
-        return True
-
-    def op_report_recovery(self, request: CoordinatorOp) -> bool:
-        self.on_event("recover", request.address)
         return True
 
     def op_dirty_done(self, request: CoordinatorOp) -> bool:

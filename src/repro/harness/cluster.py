@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.cache.eviction import make_policy
 from repro.cache.instance import CacheInstance
 from repro.client.client import GeminiClient
 from repro.config.hashing import fragment_for_key
@@ -51,23 +50,14 @@ class ClusterSpec:
     num_workers: int = 2
     policy: RecoveryPolicy = GEMINI_O_W
     seed: int = 42
-    eviction: str = "lru"
     iq_lifetime: float = 0.010
     red_lifetime: float = 2.0
-    instance_service_time: float = 5e-6
-    instance_servers: int = 16
     datastore_read_time: float = 1e-3
     datastore_write_time: float = 1.2e-3
     datastore_servers: int = 32
-    latency_base: float = 50e-6
-    latency_jitter: float = 20e-6
     monitor_interval: float = 1.0
     num_shadow_coordinators: int = 0
-    strict_oracle: bool = False
     heartbeat: bool = False
-    #: Emit the structured protocol-event stream (verify.events). Cheap;
-    #: required by the invariant checkers and the chaos engine.
-    events: bool = True
 
     @property
     def num_fragments(self) -> int:
@@ -103,9 +93,7 @@ class ClusterSpec:
         if self.num_workers < 0:
             raise SimulationError(
                 f"num_workers must be >= 0, got {self.num_workers}")
-        for field in ("instance_service_time", "datastore_read_time",
-                      "datastore_write_time", "latency_base",
-                      "latency_jitter"):
+        for field in ("datastore_read_time", "datastore_write_time"):
             value = getattr(self, field)
             if value < 0:
                 raise SimulationError(
@@ -115,8 +103,8 @@ class ClusterSpec:
             if value <= 0:
                 raise SimulationError(
                     f"{field} must be positive, got {value}")
-        if self.instance_servers < 1 or self.datastore_servers < 1:
-            raise SimulationError("server counts must be >= 1")
+        if self.datastore_servers < 1:
+            raise SimulationError("datastore_servers must be >= 1")
         if self.num_shadow_coordinators < 0:
             raise SimulationError(
                 "num_shadow_coordinators must be >= 0, got "
@@ -132,12 +120,11 @@ class GeminiCluster:
         self.sim = Simulator()
         self.rng = RngRegistry(spec.seed)
         self.network = Network(
-            self.sim,
-            LatencyModel(self.rng.stream("latency"),
-                         base=spec.latency_base, jitter=spec.latency_jitter))
-        self.oracle = ConsistencyOracle(strict=spec.strict_oracle)
-        self.events: Optional[EventLog] = (
-            EventLog(clock=lambda: self.sim.now) if spec.events else None)
+            self.sim, LatencyModel(self.rng.stream("latency")))
+        self.oracle = ConsistencyOracle()
+        #: The structured protocol-event stream (verify.events) that the
+        #: invariant checkers and the chaos engine read.
+        self.events = EventLog(clock=lambda: self.sim.now)
         self.recorder = OpRecorder(rng_registry=self.rng)
         self.recovery_recorder = RecoveryRecorder()
         self.datastore = DataStore(
@@ -156,11 +143,8 @@ class GeminiCluster:
         for address in self.instance_addresses:
             instance = CacheInstance(
                 self.sim, address, memory_bytes=memory,
-                policy=make_policy(spec.eviction),
                 iq_lifetime=spec.iq_lifetime,
                 red_lifetime=spec.red_lifetime,
-                servers=spec.instance_servers,
-                base_service_time=spec.instance_service_time,
                 event_log=self.events)
             self.instances[address] = instance
             self.network.register(instance)
@@ -228,12 +212,8 @@ class GeminiCluster:
 
         Registers :func:`repro.verify.invariants.default_invariants`
         (including the read-after-write oracle adapter) unless an
-        explicit checker list is given. Requires ``spec.events``.
+        explicit checker list is given.
         """
-        if self.events is None:
-            raise SimulationError(
-                "invariant checking needs the event stream; build the "
-                "cluster with ClusterSpec(events=True)")
         registry = InvariantRegistry(self.events)
         registry.register_all(
             default_invariants(self.oracle) if invariants is None

@@ -72,10 +72,13 @@ class LiveLoadResult:
 class LiveCluster:
     """A real localhost deployment driven from one harness process."""
 
+    #: Seconds between two polls of the coordinator's configuration,
+    #: which the harness then pushes to its clients.
+    POLL_INTERVAL = 0.05
+
     def __init__(self, spec: ClusterSpec, workdir: str,
                  record_count: int = 5_000, record_size: int = 1024,
                  host: str = "127.0.0.1",
-                 poll_interval: float = 0.05,
                  heartbeat_interval: float = 0.25,
                  wst_max_duration: float = 10.0) -> None:
         spec.validate()
@@ -85,7 +88,6 @@ class LiveCluster:
         self.record_count = record_count
         self.record_size = record_size
         self.host = host
-        self.poll_interval = poll_interval
         self.heartbeat_interval = heartbeat_interval
         self.wst_max_duration = wst_max_duration
 
@@ -98,7 +100,7 @@ class LiveCluster:
 
         self.kernel: Optional[LiveKernel] = None
         self.transport: Optional[LiveTransport] = None
-        self.oracle = ConsistencyOracle(strict=spec.strict_oracle)
+        self.oracle = ConsistencyOracle()
         self.rng = RngRegistry(spec.seed)
         self.recorder = OpRecorder(rng_registry=self.rng)
         self.recovery_recorder = RecoveryRecorder()
@@ -173,7 +175,6 @@ class LiveCluster:
                   else 1 << 30)
         return {
             "memory_bytes": memory,
-            "eviction": self.spec.eviction,
             "iq_lifetime": self.spec.iq_lifetime,
             "red_lifetime": self.spec.red_lifetime,
         }
@@ -215,7 +216,7 @@ class LiveCluster:
     def _config_poller(self) -> SimGenerator:
         """Pull-push glue replacing the sim cluster's local subscriptions."""
         while True:
-            yield self.poll_interval
+            yield self.POLL_INTERVAL
             try:
                 config = yield self.transport.call(
                     "coordinator", CoordinatorOp(op="get_config"),

@@ -36,7 +36,6 @@ import time  # wall epoch stamps for event-stream merging (GEM001 allows
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, cast
 
-from repro.cache.eviction import make_policy
 from repro.cache.instance import CacheInstance, CacheOp
 from repro.coordinator.coordinator import Coordinator, CoordinatorOp
 from repro.coordinator.membership import HeartbeatMonitor
@@ -325,7 +324,6 @@ async def _run_cache(args: Any, spec: Dict[str, Any]) -> None:
     instance = PersistentCacheInstance(
         kernel, args.address,
         memory_bytes=int(spec.get("memory_bytes", 1 << 30)),
-        policy=make_policy(spec.get("eviction", "lru")),
         iq_lifetime=float(spec.get("iq_lifetime", 0.010)),
         red_lifetime=float(spec.get("red_lifetime", 2.0)),
         event_log=events,

@@ -78,7 +78,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         seed=args.seed, fail_at=args.fail_at, outage=args.outage,
         tail=args.tail)
     cluster, __, experiment = build_ycsb_experiment(scenario)
-    assert cluster.events is not None  # ClusterSpec defaults events=True
     initial_config = cluster.coordinator.current
     tracer = Tracer(cluster.sim)
     tracer.install()

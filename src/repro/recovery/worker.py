@@ -61,11 +61,14 @@ _UNREACHABLE = (NetworkError, InstanceDown)
 class RecoveryWorker:
     """One background repair worker."""
 
+    #: Mean seconds between two scans for fragments in recovery mode;
+    #: each wait is drawn uniformly from half to one and a half of it.
+    SCAN_INTERVAL = 0.05
+
     def __init__(self, sim: Kernel, network: Transport,
                  policy: RecoveryPolicy,
                  coordinator_address: str = "coordinator",
                  name: str = "worker",
-                 scan_interval: float = 0.05,
                  *,
                  rng: random.Random,
                  recovery_recorder: Optional[RecoveryRecorder] = None,
@@ -77,7 +80,6 @@ class RecoveryWorker:
         self.policy = policy
         self.coordinator_address = coordinator_address
         self.name = name
-        self.scan_interval = scan_interval
         self.rng = rng
         self.recovery = recovery_recorder
         self.config: Optional[Configuration] = None
@@ -114,16 +116,13 @@ class RecoveryWorker:
     # ------------------------------------------------------------------
     def _run(self) -> SimGenerator:
         while True:
-            yield self.scan_interval * (0.5 + self.rng.random())
+            yield self.SCAN_INTERVAL * (0.5 + self.rng.random())
             if self.config is None:
                 continue
             for fragment in self.config.fragments:
                 if fragment.mode is not FragmentMode.RECOVERY:
                     continue
                 yield from self._recover_fragment(fragment.fragment_id)
-
-    def _mode_of(self, fragment_id: int) -> FragmentMode:
-        return self.config.fragment(fragment_id).mode
 
     def _cfg(self, cfg_id: int, **fields) -> CacheOp:
         """Build a cache op stamped with the repair *pass's* config id.

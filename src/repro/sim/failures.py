@@ -98,9 +98,6 @@ class FailureInjector:
         self.log: List[Tuple[float, str, str]] = []
         self._down: Set[str] = set()
 
-    def add_node(self, address: str, node: RemoteNode) -> None:
-        self._nodes[address] = node
-
     def subscribe(self, observer: Callable[[str, str], None]) -> None:
         self._observers.append(observer)
 

@@ -3,10 +3,11 @@
 The paper's workloads are "highly skewed Zipfian"; YCSB's default zipfian
 constant is 0.99 but the paper quotes α = 100 (so skewed that a handful
 of records dominate). We therefore implement a *general* zipfian —
-P(rank k) ∝ 1/(k+1)^θ for any θ > 0 — by materializing the CDF with
-numpy and sampling by binary search. That is exact for any exponent (the
-Gray et al. incremental algorithm used by YCSB only covers θ < 1) and
-costs O(log n) per sample.
+P(rank k) ∝ 1/(k+1)^θ for any θ > 0 — by materializing the CDF (a
+running sum of CPython's float ``**``, the platform libm's ``pow``) and
+sampling by binary search. That is exact for any exponent (the Gray et
+al. incremental algorithm used by YCSB only covers θ < 1) and costs
+O(log n) per sample.
 
 Rank 0 is the most popular item. Callers map ranks to keys through
 :class:`repro.workload.keyspace.KeySpace`.
@@ -17,12 +18,30 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_left
-
-import numpy as np
+from itertools import accumulate, repeat
+from operator import truediv
+from typing import Iterator
 
 from repro.errors import WorkloadError
 
 __all__ = ["ZipfianGenerator", "UniformGenerator", "HotspotGenerator"]
+
+
+def _inverse_powers(n: int, theta: float) -> Iterator[float]:
+    """``1.0 / float(k) ** theta`` for k = 1..n.
+
+    Where ``k ** theta`` overflows a float (θ = 100 from k = 1,210 on)
+    the weight is 0.0, which is ``1 / inf``, as numpy's ``power`` gives.
+    """
+    ranks = iter(range(1, n + 1))
+    try:
+        yield from map(truediv, repeat(1.0),
+                       map(pow, map(float, ranks), repeat(theta)))
+    except OverflowError:
+        # k ** theta grows with k: this rank and every later one overflow.
+        yield 0.0
+        for _rank in ranks:
+            yield 0.0
 
 
 class ZipfianGenerator:
@@ -37,13 +56,12 @@ class ZipfianGenerator:
         self.n = n
         self.theta = theta
         self.rng = rng
-        weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), theta)
-        cdf = np.cumsum(weights)
-        cdf /= cdf[-1]
-        #: As a flat array of doubles (8 bytes a value, as in numpy):
-        #: ``bisect_left`` over it beats a numpy call on a scalar, and
-        #: finds the index ``searchsorted(side="left")`` does.
-        self._cdf = array("d", cdf)
+        cdf = list(accumulate(_inverse_powers(n, theta)))
+        total = cdf[-1]
+        #: A flat array of doubles (8 bytes a value), searched with
+        #: ``bisect_left``: the index numpy's ``searchsorted(side="left")``
+        #: finds over the same values.
+        self._cdf = array("d", [value / total for value in cdf])
 
     def next(self) -> int:
         """Sample a rank; 0 is the hottest."""

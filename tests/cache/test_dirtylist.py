@@ -41,20 +41,14 @@ class TestDirtyList:
             dirty.append(key)
         assert dirty.keys() == ["z", "a", "m"]
 
-    def test_discard(self):
-        dirty = DirtyList(0, marker=True)
-        dirty.append("a")
-        assert dirty.discard("a")
-        assert not dirty.discard("a")
-        assert len(dirty) == 0
-
-    def test_size_grows_and_shrinks(self):
+    def test_size_grows_once_per_key(self):
         dirty = DirtyList(0, marker=True)
         empty_size = dirty.size
         dirty.append("some-key")
         assert dirty.size > empty_size
-        dirty.discard("some-key")
-        assert dirty.size == empty_size
+        size = dirty.size
+        dirty.append("some-key")
+        assert dirty.size == size
 
     def test_size_accounts_for_key_length(self):
         short = DirtyList(0, marker=True)
@@ -104,15 +98,12 @@ class TestDirtyPage:
         page = dirty.page(after=0, limit=4)
         assert page.keys == () and not page.more
 
-    def test_cursor_survives_concurrent_discard(self):
-        """Repairing (removing) already-fetched keys — even the cursor
-        key itself — must not skip or repeat the remaining keys."""
-        dirty = self._filled(6)
+    def test_keys_appended_after_a_page_come_in_later_pages(self):
+        dirty = self._filled(2)
         first = dirty.page(after=0, limit=2)
-        for key in first.keys:  # the worker repairs the fetched chunk
-            dirty.discard(key)
+        dirty.append("late")
         second = dirty.page(after=first.cursor, limit=2)
-        assert list(second.keys) == ["k0002", "k0003"]
+        assert list(second.keys) == ["late"] and not second.more
 
     def test_reappend_keeps_original_position(self):
         """A key rewritten while the scan is past it must not reappear

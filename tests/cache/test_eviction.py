@@ -1,116 +1,72 @@
-"""Unit tests for eviction policies."""
+"""The cache instance's LRU eviction order: set, get and delete under a
+byte budget that holds three entries."""
 
-import pytest
+from repro.cache.instance import CacheInstance, CacheOp
+from repro.types import Value
 
-from repro.cache.eviction import (
-    ClockPolicy,
-    FifoPolicy,
-    LruPolicy,
-    make_policy,
-)
+#: 56 bytes of overhead + a 1-byte key + a 100-byte value.
+ENTRY = 157
+
+
+def lru(sim, entries=3):
+    """An instance that fits ``entries`` entries, and the keys it evicts."""
+    instance = CacheInstance(sim, "c", memory_bytes=entries * ENTRY)
+    evicted = []
+    instance.subscribe_evictions(evicted.append)
+    return instance, evicted
+
+
+def call(instance, op, key):
+    value = Value(1, 100) if op == "set" else None
+    return instance.handle_request(CacheOp(op=op, key=key, value=value))
+
+
+def fill(instance, keys):
+    for key in keys:
+        call(instance, "set", key)
 
 
 class TestLru:
-    def test_evicts_least_recently_used(self):
-        policy = LruPolicy()
-        for key in "abc":
-            policy.on_insert(key)
-        policy.on_access("a")
-        assert policy.victim() == "b"
+    def test_evicts_least_recently_used(self, sim):
+        instance, evicted = lru(sim)
+        fill(instance, "abc")
+        call(instance, "get", "a")
+        fill(instance, "d")
+        assert evicted == ["b"]
 
-    def test_insert_refreshes_position(self):
-        policy = LruPolicy()
-        for key in "abc":
-            policy.on_insert(key)
-        policy.on_insert("a")  # overwrite moves to MRU
-        assert policy.victim() == "b"
+    def test_insert_refreshes_position(self, sim):
+        instance, evicted = lru(sim)
+        fill(instance, "abc")
+        fill(instance, "a")  # overwrite moves to MRU
+        fill(instance, "d")
+        assert evicted == ["b"]
 
-    def test_remove(self):
-        policy = LruPolicy()
-        for key in "abc":
-            policy.on_insert(key)
-        policy.on_remove("a")
-        assert policy.victim() == "b"
-        assert len(policy) == 2
+    def test_remove(self, sim):
+        instance, evicted = lru(sim)
+        fill(instance, "abc")
+        call(instance, "delete", "a")
+        assert instance.entry_count == 2
+        fill(instance, "de")
+        assert evicted == ["b"]
 
-    def test_empty_victim_is_none(self):
-        assert LruPolicy().victim() is None
+    def test_empty_victim_is_none(self, sim):
+        # A lone entry over the budget has no other entry to evict.
+        instance, evicted = lru(sim, entries=0)
+        fill(instance, "a")
+        assert evicted == [] and instance.contains("a")
 
-    def test_access_unknown_key_ignored(self):
-        policy = LruPolicy()
-        policy.on_access("ghost")
-        assert len(policy) == 0
+    def test_access_unknown_key_ignored(self, sim):
+        instance, evicted = lru(sim)
+        fill(instance, "abc")
+        call(instance, "get", "ghost")
+        fill(instance, "d")
+        assert evicted == ["a"]
+        assert instance.entry_count == 3
 
-    def test_clear(self):
-        policy = LruPolicy()
-        policy.on_insert("a")
-        policy.clear()
-        assert policy.victim() is None
-
-
-class TestFifo:
-    def test_access_does_not_refresh(self):
-        policy = FifoPolicy()
-        for key in "abc":
-            policy.on_insert(key)
-        policy.on_access("a")
-        assert policy.victim() == "a"
-
-    def test_overwrite_keeps_position(self):
-        policy = FifoPolicy()
-        for key in "abc":
-            policy.on_insert(key)
-        policy.on_insert("a")
-        assert policy.victim() == "a"
-
-    def test_remove_and_len(self):
-        policy = FifoPolicy()
-        for key in "abc":
-            policy.on_insert(key)
-        policy.on_remove("b")
-        assert len(policy) == 2
-
-
-class TestClock:
-    def test_second_chance(self):
-        policy = ClockPolicy()
-        for key in "abc":
-            policy.on_insert(key)
-        # All reference bits set at insert; first sweep clears a, b, then
-        # evicts the first with a cleared bit.
-        victim = policy.victim()
-        assert victim in "abc"
-
-    def test_referenced_key_survives_one_sweep(self):
-        policy = ClockPolicy()
-        for key in "ab":
-            policy.on_insert(key)
-        # Clear both bits via a full sweep.
-        first = policy.victim()
-        policy.on_remove(first)
-        survivor = "a" if first == "b" else "b"
-        policy.on_insert("c")
-        policy.on_access(survivor)
-        # c was just inserted (bit set), survivor re-referenced (bit set);
-        # a sweep clears both then evicts the front.
-        assert policy.victim() in (survivor, "c")
-
-    def test_remove_and_clear(self):
-        policy = ClockPolicy()
-        policy.on_insert("a")
-        policy.on_remove("a")
-        assert policy.victim() is None
-        policy.on_insert("b")
-        policy.clear()
-        assert len(policy) == 0
-
-
-class TestFactory:
-    @pytest.mark.parametrize("name,cls", [
-        ("lru", LruPolicy), ("fifo", FifoPolicy), ("clock", ClockPolicy)])
-    def test_make_policy(self, name, cls):
-        assert isinstance(make_policy(name), cls)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            make_policy("arc")
+    def test_clear(self, sim):
+        instance, evicted = lru(sim)
+        fill(instance, "ab")
+        instance.wipe()
+        assert instance.entry_count == 0
+        fill(instance, "cdea")
+        assert evicted == ["c"]

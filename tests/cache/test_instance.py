@@ -103,12 +103,6 @@ class TestIqProtocol:
         assert call(instance, "get", key="k") is CACHE_MISS
         assert instance.leases.check_i("k", token)
 
-    def test_idelete_releases_lease_and_removes(self, instance):
-        call(instance, "set", key="k", value=Value(1, 5))
-        token = call(instance, "iset", key="k")
-        call(instance, "idelete", key="k", token=token)
-        assert not instance.leases.check_i("k", token)
-
     def test_qareg_dar_cycle_deletes_entry(self, instance):
         call(instance, "set", key="k", value=Value(1, 5))
         token = call(instance, "qareg", key="k")
@@ -135,7 +129,7 @@ class TestIqProtocol:
 
 class TestConfigIdProtocol:
     def test_stale_client_bounced(self, instance):
-        call(instance, "notify_config_id", client_cfg_id=10)
+        call(instance, "get", key="k", client_cfg_id=10)
         with pytest.raises(StaleConfiguration) as exc_info:
             call(instance, "get", key="k", client_cfg_id=9)
         assert exc_info.value.known_id == 10
@@ -212,12 +206,6 @@ class TestDirtyListOps:
         dirty = call(instance, "get_dirty", fragment_id=3)
         assert dirty.complete and len(dirty) == 0
 
-    def test_remove_dirty_key(self, instance):
-        call(instance, "create_dirty", fragment_id=3)
-        call(instance, "append_dirty", fragment_id=3, key="a")
-        assert call(instance, "remove_dirty_key", fragment_id=3, key="a")
-        assert "a" not in call(instance, "get_dirty", fragment_id=3)
-
     def test_delete_dirty(self, instance):
         call(instance, "create_dirty", fragment_id=3)
         assert call(instance, "delete_dirty", fragment_id=3)
@@ -237,7 +225,7 @@ class TestDirtyListOps:
         # whole red_lifetime.
         token = call(instance, "red_acquire", fragment_id=3,
                      client_cfg_id=5)
-        call(instance, "notify_config_id", client_cfg_id=6)
+        call(instance, "get", key="k", client_cfg_id=6)
         assert call(instance, "red_release", fragment_id=3, token=token,
                     client_cfg_id=5)
         assert call(instance, "red_acquire", fragment_id=3,
@@ -247,7 +235,7 @@ class TestDirtyListOps:
             self, instance):
         token = call(instance, "red_acquire", fragment_id=3,
                      client_cfg_id=5)
-        call(instance, "notify_config_id", client_cfg_id=6)
+        call(instance, "get", key="k", client_cfg_id=6)
         assert not call(instance, "red_release", fragment_id=3,
                         token=token + 1, client_cfg_id=5)
         with pytest.raises(LeaseBackoff):
@@ -320,7 +308,7 @@ class TestCrashSemantics:
         assert instance.used_bytes == 0
 
     def test_known_config_id_survives_crash(self, instance):
-        call(instance, "notify_config_id", client_cfg_id=77)
+        call(instance, "get", key="k", client_cfg_id=77)
         instance.fail()
         instance.recover()
         assert instance.known_config_id == 77

@@ -26,15 +26,11 @@ class TestSpecValidation:
         {"memory_bytes": 0},
         {"num_clients": -1},
         {"num_workers": -2},
-        {"instance_service_time": -1e-6},
         {"datastore_read_time": -0.5},
         {"datastore_write_time": -0.5},
-        {"latency_base": -1e-6},
-        {"latency_jitter": -1e-6},
         {"iq_lifetime": 0.0},
         {"red_lifetime": -1.0},
         {"monitor_interval": 0.0},
-        {"instance_servers": 0},
         {"datastore_servers": 0},
         {"num_shadow_coordinators": -1},
     ])

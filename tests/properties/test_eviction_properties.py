@@ -1,47 +1,57 @@
-"""Property-based tests for eviction policies and the cache instance's
+"""Property-based tests for the cache instance's LRU eviction order and
 memory accounting."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.eviction import make_policy
 from repro.cache.instance import CacheInstance, CacheOp
 from repro.sim.core import Simulator
 from repro.types import Value
 
 OPS = st.lists(
-    st.tuples(st.sampled_from(["insert", "access", "remove"]),
+    st.tuples(st.sampled_from(["set", "get", "delete"]),
               st.integers(min_value=0, max_value=9)),
     min_size=1, max_size=60)
 
 
+def apply(instance, op, key, size=100):
+    value = Value(1, size) if op == "set" else None
+    instance.handle_request(CacheOp(op=op, key=key, value=value))
+
+
 class TestPolicyProperties:
-    @given(name=st.sampled_from(["lru", "fifo", "clock"]), ops=OPS)
+    @given(ops=OPS, sizes=st.lists(st.integers(min_value=0, max_value=300),
+                                   min_size=60, max_size=60))
     @settings(max_examples=100, deadline=None)
-    def test_victim_is_always_a_member(self, name, ops):
-        policy = make_policy(name)
+    def test_victim_is_always_a_member(self, ops, sizes):
+        sim = Simulator()
+        instance = CacheInstance(sim, "c", memory_bytes=600)
         members = set()
-        for op, key_id in ops:
+        evicted = []
+
+        def on_evict(key):
+            assert key in members
+            evicted.append(key)
+            members.discard(key)
+        instance.subscribe_evictions(on_evict)
+        for (op, key_id), size in zip(ops, sizes):
             key = f"k{key_id}"
-            if op == "insert":
-                policy.on_insert(key)
+            if op == "set":
                 members.add(key)
-            elif op == "access":
-                policy.on_access(key)
-            else:
-                policy.on_remove(key)
+            elif op == "delete":
                 members.discard(key)
-        assert len(policy) == len(members)
-        victim = policy.victim()
-        if members:
-            assert victim in members
-        else:
-            assert victim is None
+            apply(instance, op, key, size)
+        assert instance.entry_count == len(members)
+        assert all(instance.contains(key) for key in members)
 
     @given(ops=OPS)
     @settings(max_examples=100, deadline=None)
     def test_lru_victim_is_least_recently_touched(self, ops):
-        policy = make_policy("lru")
+        sim = Simulator()
+        # Every entry is the same size; the budget holds all ten keys.
+        instance = CacheInstance(sim, "c", memory_bytes=10_000)
+        evicted = []
+        instance.subscribe_evictions(evicted.append)
         touch_order = []  # most recent last
 
         def touch(key):
@@ -51,19 +61,20 @@ class TestPolicyProperties:
 
         for op, key_id in ops:
             key = f"k{key_id}"
-            if op == "insert":
-                policy.on_insert(key)
+            apply(instance, op, key)
+            if op == "set":
                 touch(key)
-            elif op == "access":
+            elif op == "get":
                 if key in touch_order:
-                    policy.on_access(key)
                     touch(key)
-            else:
-                policy.on_remove(key)
-                if key in touch_order:
-                    touch_order.remove(key)
-        if touch_order:
-            assert policy.victim() == touch_order[0]
+            elif key in touch_order:
+                touch_order.remove(key)
+        assert evicted == []
+        # Shrink the budget to what is stored, then store one more entry
+        # of the same size: exactly one key must go, the least recent.
+        instance.memory_bytes = instance.used_bytes
+        apply(instance, "set", "kp")
+        assert evicted == touch_order[:1]
 
 
 class TestInstanceMemoryProperties:

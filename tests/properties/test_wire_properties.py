@@ -126,17 +126,14 @@ def configurations():
 
 def dirty_lists():
     def build(args):
-        fragment_id, marker, entries, discarded = args
+        fragment_id, marker, entries = args
         dirty = DirtyList(fragment_id, marker)
         for key in entries:
             dirty.append(key)
-        for key in discarded:
-            dirty.discard(key)
         return dirty
     return st.tuples(
         small_ints, st.booleans(),
         st.lists(keys, max_size=8),
-        st.lists(keys, max_size=4),
     ).map(build)
 
 

@@ -10,9 +10,9 @@ hot path"). A kernel change that reorders any callback moves at least
 one of them; a change that only makes the kernel cheaper moves none.
 ``events`` is deliberately not pinned: it counts allocations, not order.
 
-The values were taken under Python 3.11.7 with numpy 2.4.6. The key
-ranks come from a Zipf CDF built with numpy, so a numpy that rounds it
-differently moves them too.
+The values were taken under Python 3.11.7. The key ranks come from a
+Zipf CDF built with CPython's float ``**`` (the platform libm's ``pow``),
+so a libm that rounds ``pow`` differently moves them too.
 """
 
 import hashlib

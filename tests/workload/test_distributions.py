@@ -62,6 +62,20 @@ class TestZipfian:
                                            side="left"))
             assert gen.next() == expected
 
+    @pytest.mark.parametrize("theta", [0.5, 0.8, 0.99, 1.2, 100.0])
+    @pytest.mark.parametrize("n", [10, 1000, 6000, 20000])
+    def test_cdf_equals_numpy_bit_for_bit(self, n, theta):
+        # The reference: numpy's power and cumsum over the same ranks.
+        # Every bit counts, because the key draws fix the event order.
+        np = pytest.importorskip("numpy")
+        with np.errstate(over="ignore"):  # theta=100: power gives inf
+            weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64),
+                                     theta)
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        gen = ZipfianGenerator(n, theta=theta, rng=random.Random(1))
+        assert gen._cdf.tobytes() == cdf.tobytes()
+
     def test_deterministic_given_seed(self):
         a = ZipfianGenerator(100, rng=random.Random(5))
         b = ZipfianGenerator(100, rng=random.Random(5))
