@@ -582,7 +582,7 @@ class MissingProtocolEvent(Rule):
             "_commit", "_handle_failure", "_handle_recovery",
             "_handle_dirty_done", "_handle_dirty_lost",
         },
-        "GeminiClient": {"_adopt", "_write_transient"},
+        "GeminiClient": {"_adopt", "_write_attempt"},
         "RecoveryWorker": {"on_config"},
     }
 

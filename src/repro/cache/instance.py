@@ -101,17 +101,20 @@ class InstanceStats:
 class CacheInstance(RemoteNode):
     """A single persistent cache instance."""
 
+    #: Requests served concurrently (the request queue's width).
+    SERVERS = 16
+    #: Service cost of one request, and of each key a multi-key op
+    #: touches (seconds).
+    BASE_SERVICE_TIME = 5e-6
+
     def __init__(self, sim: Kernel, address: str, memory_bytes: int,
                  iq_lifetime: float = 0.010,
                  red_lifetime: float = 2.0,
-                 servers: int = 16,
-                 base_service_time: float = 5e-6,
                  event_log=None) -> None:
-        super().__init__(sim, address, servers=servers)
+        super().__init__(sim, address, servers=self.SERVERS)
         #: Optional structured protocol-event stream (verify.events).
         self.event_log = event_log
         self.memory_bytes = memory_bytes
-        self.base_service_time = base_service_time
         #: Every entry, least recently used first: a touch moves its key
         #: to the end, eviction takes the first.
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
@@ -142,13 +145,13 @@ class CacheInstance(RemoteNode):
         # Multi-key ops cost one base unit per key touched: batching
         # amortizes network round trips, not server CPU.
         if request.keys is not None:
-            return self.base_service_time * max(1, len(request.keys))
+            return self.BASE_SERVICE_TIME * max(1, len(request.keys))
         if request.op == "batch_iqset" and request.payload:
-            return self.base_service_time * len(request.payload)
+            return self.BASE_SERVICE_TIME * len(request.payload)
         if request.op == "get_dirty_page" and request.payload:
-            return self.base_service_time * max(
+            return self.BASE_SERVICE_TIME * max(
                 1, int(request.payload.get("limit", 1)))
-        return self.base_service_time
+        return self.BASE_SERVICE_TIME
 
     def handle_request(self, request: CacheOp) -> Any:
         if not self.up:

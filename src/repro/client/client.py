@@ -1,24 +1,29 @@
 """The Gemini client (Algorithms 1 and 2 plus the failure handling of
 Sections 2.2 and 3.3).
 
+The client holds the newest configuration it has seen and routes every
+key to its fragment cell with the deterministic hash (Figure 3). The
+configuration arrives from three sources: coordinator pushes
+(subscription), refreshes after a :class:`~repro.errors.StaleConfiguration`
+bounce, and the bootstrap fetch.
+
 Every public operation is a *session*: an atomic unit that reads or
 writes one cache entry and issues at most one data-store transaction.
 Sessions are generators driven by the simulation kernel; they retry on
-lease back-off, refresh their configuration on
-:class:`~repro.errors.StaleConfiguration` bounces, and fall back to the
-data store (reads) or suspend (writes) while a fragment has no reachable
-serving replica.
+lease back-off, refresh their configuration on StaleConfiguration
+bounces, and fall back to the data store (reads) or suspend (writes)
+while a fragment has no reachable serving replica.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from repro.cache.instance import CacheOp
-from repro.client.routing import ConfigCache
 from repro.client.working_set import WstTracker
 from repro.coordinator.coordinator import CoordinatorOp
+from repro.datastore.store import DataStoreOp
 from repro.errors import (
     FragmentUnavailable,
     InstanceDown,
@@ -77,7 +82,8 @@ class GeminiClient:
         self.oracle = oracle
         self.recorder = recorder
         self.rng = rng
-        self.cache = ConfigCache()
+        #: The newest configuration seen; None until the first arrives.
+        self.config: Optional[Configuration] = None
         self.wst = WstTracker()
         #: Local dirty-list copies per fragment in recovery mode.
         self._dirty: Dict[int, Set[str]] = {}
@@ -87,7 +93,7 @@ class GeminiClient:
     # ------------------------------------------------------------------
     # Configuration plumbing
     # ------------------------------------------------------------------
-    def _adopt(self, config: Configuration) -> bool:
+    def _adopt(self, config: Optional[Configuration]) -> bool:
         """Adopt a configuration if strictly newer; emit the observation.
 
         Every adoption path (push, refresh, bootstrap) comes through
@@ -97,10 +103,13 @@ class GeminiClient:
         and re-entered it in between, with keys dirtied that the copy
         never saw.
         """
-        previous = self.cache.config_id if self.cache.ready else None
-        if not self.cache.adopt(config):
+        previous = self.config
+        if config is None or (previous is not None
+                              and config.config_id <= previous.config_id):
             return False
-        skipped = previous is not None and config.config_id > previous + 1
+        self.config = config
+        skipped = (previous is not None
+                   and config.config_id > previous.config_id + 1)
         for fragment in config.fragments:
             if fragment.fragment_id in self._dirty and (
                     skipped or fragment.mode is not FragmentMode.RECOVERY):
@@ -163,18 +172,6 @@ class GeminiClient:
         cap = min(self.BACKOFF_CAP, self.BACKOFF_BASE * (2 ** min(attempt, 6)))
         return cap * (0.5 + 0.5 * self.rng.random())
 
-    def _store_read(self, key: str) -> SimGenerator:
-        from repro.datastore.store import DataStoreOp
-        value = yield self.network.call(
-            self.datastore_address, DataStoreOp(op="read", key=key))
-        return value
-
-    def _store_write(self, key: str, size: Optional[int]) -> SimGenerator:
-        from repro.datastore.store import DataStoreOp
-        value = yield self.network.call(
-            self.datastore_address, DataStoreOp(op="write", key=key, size=size))
-        return value
-
     def _report_failure(self, address: str) -> SimGenerator:
         try:
             yield self.network.call(
@@ -221,22 +218,46 @@ class GeminiClient:
     # ------------------------------------------------------------------
     def read(self, key: str) -> SimGenerator:
         """Read session. Returns the :class:`Value` observed."""
+        return self._session(key, False, None)
+
+    def write(self, key: str, size: Optional[int] = None) -> SimGenerator:
+        """Write-around write session. Returns the committed Value."""
+        return self._session(key, True, size)
+
+    def _session(self, key: str, writing: bool,
+                 size: Optional[int]) -> SimGenerator:
+        """The retry loop of a read or a write session.
+
+        Each attempt routes afresh and stamps its ops with the id it
+        routed under (see :meth:`_op`). Reads and writes differ only in
+        the attempt they run, in how they ride out an unreachable
+        replica — a read refreshes first and reads the data store after
+        two strikes, a write waits first — and in what they report.
+        """
         start = self.sim.now
         value: Optional[Value] = None
         hit = False
         instance: Optional[str] = None
         store_direct = False
+        # A write's data-store result survives a bounced attempt: a
+        # StaleConfiguration after the transaction must not make the
+        # retry issue a second one (sessions owe the store at most one).
+        stored: List[Optional[Value]] = [None]
+        suspended = 0.0
         unreachable_strikes = 0
         attempts = 0
         tracer = self.sim.tracer
-        span = (tracer.begin("read", kind="session", client=self.name,
-                             key=key) if tracer is not None else None)
+        span = (tracer.begin("write" if writing else "read", kind="session",
+                             client=self.name, key=key)
+                if tracer is not None else None)
         attempt_span = None
         try:
+            if self.config is None:
+                raise FragmentUnavailable(-1, "client has no configuration yet")
             for attempt in range(1, self.MAX_ATTEMPTS + 1):
                 attempts = attempt
-                fragment = self.cache.route(key)
-                cfg = self.cache.config_id
+                fragment = self.config.fragment_for_key(key)
+                cfg = self.config.config_id
                 if tracer is not None:
                     # First attempts are traced lazily (see _end_attempt):
                     # the clean single-attempt session — the overwhelming
@@ -248,7 +269,10 @@ class GeminiClient:
                             fragment_id=fragment.fragment_id,
                             mode=fragment.mode.name, config_id=cfg)
                 try:
-                    if fragment.mode is FragmentMode.RECOVERY:
+                    if writing:
+                        value = yield from self._write_attempt(
+                            fragment, key, cfg, size, stored)
+                    elif fragment.mode is FragmentMode.RECOVERY:
                         value, hit, instance = yield from (
                             self._read_recovery(fragment, key, cfg))
                     else:
@@ -274,11 +298,14 @@ class GeminiClient:
                         attempt_span = None
                     yield from self._refresh_config()
                 except FragmentUnavailable:
+                    # Section 2.2: no serving replica until a secondary
+                    # is published; wait, then look again.
                     if tracer is not None:
                         self._end_attempt(tracer, attempt_span,
                                           "unavailable", attempt_started,
                                           attempt, fragment, cfg)
                         attempt_span = None
+                    suspended += self.SUSPENSION_DELAY
                     yield self.SUSPENSION_DELAY
                     yield from self._refresh_config()
                 except _UNREACHABLE:
@@ -287,15 +314,22 @@ class GeminiClient:
                                           "unreachable", attempt_started,
                                           attempt, fragment, cfg)
                         attempt_span = None
-                    unreachable_strikes += 1
                     suspect = self._suspect(fragment)
                     if suspect is not None:
                         yield from self._report_failure(suspect)
+                    if writing:
+                        suspended += self.SUSPENSION_DELAY
+                        yield self.SUSPENSION_DELAY
+                        yield from self._refresh_config()
+                        continue
                     yield from self._refresh_config()
+                    unreachable_strikes += 1
                     if unreachable_strikes >= 2:
                         # Section 2.2: while the fragment has no serving
                         # replica, reads are processed using the data store.
-                        value = yield from self._store_read(key)
+                        value = yield self.network.call(
+                            self.datastore_address,
+                            DataStoreOp(op="read", key=key))
                         store_direct = True
                         break
                     yield self.SUSPENSION_DELAY
@@ -306,112 +340,33 @@ class GeminiClient:
                 # context stack (later sessions would mis-parent there).
                 if attempt_span is not None:
                     tracer.end(attempt_span, status="error")
-                tracer.end(span,
-                           status="ok" if value is not None else "error",
-                           attempts=attempts, hit=hit,
-                           store_direct=store_direct)
+                status = "ok" if value is not None else "error"
+                if writing:
+                    tracer.end(span, status=status, attempts=attempts,
+                               suspended_for=suspended)
+                else:
+                    tracer.end(span, status=status, attempts=attempts,
+                               hit=hit, store_direct=store_direct)
         if value is None:
-            raise ReproError(f"read of {key!r} exhausted retries")
+            raise ReproError(f"{'write' if writing else 'read'} of {key!r} "
+                             f"exhausted retries")
         end = self.sim.now
-        self.reads_completed += 1
-        if self.recorder is not None:
-            self.recorder.record_read(start, end, hit, instance,
-                                      store_direct=store_direct)
-        if self.oracle is not None:
-            self.oracle.record_read(key, value.version, start, end)
-        return value
-
-    def write(self, key: str, size: Optional[int] = None) -> SimGenerator:
-        """Write-around write session. Returns the committed Value."""
-        start = self.sim.now
-        # Mutable so that store progress survives a bounced attempt: a
-        # StaleConfiguration after the data-store transaction must not
-        # make the retry issue a second transaction (sessions owe the
-        # store at most one).
-        session = {"store_done": False, "value": None}
-        value: Optional[Value] = None
-        suspended = 0.0
-        attempts = 0
-        tracer = self.sim.tracer
-        span = (tracer.begin("write", kind="session", client=self.name,
-                             key=key) if tracer is not None else None)
-        attempt_span = None
-        try:
-            for attempt in range(1, self.MAX_ATTEMPTS + 1):
-                attempts = attempt
-                fragment = self.cache.route(key)
-                cfg = self.cache.config_id
-                if tracer is not None:
-                    # Lazy first attempts — same rationale as read().
-                    attempt_started = self.sim.now
-                    if attempt > 1:
-                        attempt_span = tracer.begin(
-                            "attempt", kind="attempt", seq=attempt,
-                            fragment_id=fragment.fragment_id,
-                            mode=fragment.mode.name, config_id=cfg)
-                try:
-                    yield from self._write_once(fragment, key, cfg, size,
-                                                session)
-                    value = session["value"]
-                    if attempt_span is not None:
-                        tracer.end(attempt_span)
-                    break
-                except LeaseBackoff:
-                    if tracer is not None:
-                        self._end_attempt(tracer, attempt_span,
-                                          "lease-backoff", attempt_started,
-                                          attempt, fragment, cfg)
-                        attempt_span = None
-                    if self.recorder is not None:
-                        self.recorder.record_backoff()
-                    yield self._backoff_delay(attempt)
-                except StaleConfiguration:
-                    if tracer is not None:
-                        self._end_attempt(tracer, attempt_span,
-                                          "stale-config", attempt_started,
-                                          attempt, fragment, cfg)
-                        attempt_span = None
-                    yield from self._refresh_config()
-                except FragmentUnavailable:
-                    # Section 2.2: writes are suspended until a secondary
-                    # is published.
-                    if tracer is not None:
-                        self._end_attempt(tracer, attempt_span,
-                                          "unavailable", attempt_started,
-                                          attempt, fragment, cfg)
-                        attempt_span = None
-                    suspended += self.SUSPENSION_DELAY
-                    yield self.SUSPENSION_DELAY
-                    yield from self._refresh_config()
-                except _UNREACHABLE:
-                    if tracer is not None:
-                        self._end_attempt(tracer, attempt_span,
-                                          "unreachable", attempt_started,
-                                          attempt, fragment, cfg)
-                        attempt_span = None
-                    suspended += self.SUSPENSION_DELAY
-                    suspect = self._suspect(fragment)
-                    if suspect is not None:
-                        yield from self._report_failure(suspect)
-                    yield self.SUSPENSION_DELAY
-                    yield from self._refresh_config()
-        finally:
-            if tracer is not None:
-                if attempt_span is not None:
-                    tracer.end(attempt_span, status="error")
-                tracer.end(span,
-                           status="ok" if value is not None else "error",
-                           attempts=attempts, suspended_for=suspended)
-        if value is None:
-            raise ReproError(f"write of {key!r} exhausted retries")
-        end = self.sim.now
-        self.writes_completed += 1
-        if self.recorder is not None:
-            self.recorder.record_write(start, end, suspended_for=suspended)
-        if self.oracle is not None:
-            # The write is confirmed *now*: read-after-write consistency
-            # is owed to every read that starts after this point.
-            self.oracle.record_commit(key, value.version, end)
+        if writing:
+            self.writes_completed += 1
+            if self.recorder is not None:
+                self.recorder.record_write(start, end, suspended_for=suspended)
+            if self.oracle is not None:
+                # The write is confirmed *now*: read-after-write
+                # consistency is owed to every read that starts after
+                # this point.
+                self.oracle.record_commit(key, value.version, end)
+        else:
+            self.reads_completed += 1
+            if self.recorder is not None:
+                self.recorder.record_read(start, end, hit, instance,
+                                          store_direct=store_direct)
+            if self.oracle is not None:
+                self.oracle.record_read(key, value.version, start, end)
         return value
 
     # ------------------------------------------------------------------
@@ -425,7 +380,8 @@ class GeminiClient:
         if outcome[0] == "hit":
             return outcome[1], True, target
         token = outcome[1]
-        value = yield from self._store_read(key)
+        value = yield self.network.call(
+            self.datastore_address, DataStoreOp(op="read", key=key))
         yield from self._fill(target, fragment, key, cfg, value, token)
         return value, False, target
 
@@ -481,7 +437,8 @@ class GeminiClient:
                 yield from self._fill(primary, fragment, key, cfg, found,
                                       token)
                 return found, True, primary
-        value = yield from self._store_read(key)
+        value = yield self.network.call(
+            self.datastore_address, DataStoreOp(op="read", key=key))
         yield from self._fill(primary, fragment, key, cfg, value, token)
         return value, False, primary
 
@@ -517,69 +474,41 @@ class GeminiClient:
         return keys
 
     # ------------------------------------------------------------------
-    # Write paths
+    # Write path
     # ------------------------------------------------------------------
-    def _write_once(self, fragment, key: str, cfg: int, size: Optional[int],
-                    session: Dict[str, Any]):
-        if fragment.mode is FragmentMode.NORMAL:
-            yield from self._write_normal(fragment, key, cfg, size, session)
-        elif fragment.mode is FragmentMode.TRANSIENT:
-            yield from self._write_transient(fragment, key, cfg, size, session)
-        else:
-            yield from self._write_recovery(fragment, key, cfg, size, session)
+    def _write_attempt(self, fragment: FragmentInfo, key: str, cfg: int,
+                       size: Optional[int],
+                       stored: List[Optional[Value]]) -> SimGenerator:
+        """One write-around attempt against the serving replica: qareg,
+        the session's data-store transaction, dar (Algorithm 2).
 
-    def _store_once(self, key: str, size: Optional[int],
-                    session: Dict[str, Any]):
-        """Issue the session's single data-store transaction (idempotent
-        across retries — progress is recorded in ``session`` so a bounce
-        *after* the transaction cannot re-issue it)."""
-        if not session["store_done"]:
-            session["value"] = yield from self._store_write(key, size)
-            session["store_done"] = True
-
-    def _write_normal(self, fragment, key, cfg, size, session):
-        target = fragment.primary
+        Transient mode (Section 3.1) also logs the key in the fragment's
+        dirty list on the secondary before touching the store. Recovery
+        mode (Section 3.2.1) also deletes the key in the secondary, and
+        drops it from this client's dirty view once the write repaired
+        it. ``stored`` holds the store's answer across attempts, so the
+        session issues its transaction once.
+        """
+        target = fragment.serving_replica()
+        mode = fragment.mode
         token = yield self.network.call(
             target, self._op("qareg", cfg, key=key,
                              fragment_cfg_id=fragment.cfg_id))
-        yield from self._store_once(key, size, session)
-        yield self.network.call(
-            target, self._op("dar", cfg, key=key, token=token,
-                             fragment_cfg_id=fragment.cfg_id))
-
-    def _write_transient(self, fragment, key, cfg, size, session):
-        """Transient mode (Section 3.1): write to the secondary and log
-        the key in the fragment's dirty list before touching the store."""
-        target = fragment.secondary
-        if target is None:
-            raise FragmentUnavailable(fragment.fragment_id)
-        token = yield self.network.call(
-            target, self._op("qareg", cfg, key=key,
-                             fragment_cfg_id=fragment.cfg_id))
-        if self.policy.maintain_dirty:
-            complete = yield self.network.call(
-                target, self._op("append_dirty", cfg,
-                                 fragment_id=fragment.fragment_id, key=key))
-            if self.event_log is not None:
-                self.event_log.emit(
-                    "transient_write", actor=self.name, address=target,
-                    fragment_id=fragment.fragment_id,
-                    episode=fragment.cfg_id, key=key, complete=complete)
-            if not complete:
-                # The marker is gone: the list was evicted and recreated.
-                self._notify_dirty_lost(fragment.fragment_id)
-        yield from self._store_once(key, size, session)
-        yield self.network.call(
-            target, self._op("dar", cfg, key=key, token=token,
-                             fragment_cfg_id=fragment.cfg_id))
-
-    def _write_recovery(self, fragment, key, cfg, size, session):
-        """Algorithm 2 + Section 3.2.1: delete in BOTH replicas."""
-        primary = fragment.primary
-        token = yield self.network.call(
-            primary, self._op("qareg", cfg, key=key,
-                              fragment_cfg_id=fragment.cfg_id))
-        if fragment.secondary is not None:
+        if mode is FragmentMode.TRANSIENT:
+            if self.policy.maintain_dirty:
+                complete = yield self.network.call(
+                    target, self._op("append_dirty", cfg,
+                                     fragment_id=fragment.fragment_id,
+                                     key=key))
+                if self.event_log is not None:
+                    self.event_log.emit(
+                        "transient_write", actor=self.name, address=target,
+                        fragment_id=fragment.fragment_id,
+                        episode=fragment.cfg_id, key=key, complete=complete)
+                if not complete:
+                    # The marker is gone: the list was evicted and recreated.
+                    self._notify_dirty_lost(fragment.fragment_id)
+        elif mode is FragmentMode.RECOVERY and fragment.secondary is not None:
             try:
                 yield self.network.call(
                     fragment.secondary,
@@ -591,11 +520,15 @@ class GeminiClient:
             # still a repair source, and leaving a stale copy there lets a
             # recovery worker resurrect it into the primary. The session
             # retries the whole invalidation under the fresh configuration.
-        yield from self._store_once(key, size, session)
+        if stored[0] is None:
+            stored[0] = yield self.network.call(
+                self.datastore_address,
+                DataStoreOp(op="write", key=key, size=size))
         yield self.network.call(
-            primary, self._op("dar", cfg, key=key, token=token,
-                              fragment_cfg_id=fragment.cfg_id))
-        # This write repaired the key; drop it from our dirty view.
-        local = self._dirty.get(fragment.fragment_id)
-        if local is not None:
-            local.discard(key)
+            target, self._op("dar", cfg, key=key, token=token,
+                             fragment_cfg_id=fragment.cfg_id))
+        if mode is FragmentMode.RECOVERY:
+            local = self._dirty.get(fragment.fragment_id)
+            if local is not None:
+                local.discard(key)
+        return stored[0]

@@ -16,7 +16,7 @@ the monitor without any reset protocol.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 __all__ = ["WstTracker"]
 
@@ -47,18 +47,4 @@ class WstTracker:
             if who == primary:
                 total["hits"] += counts["hits"]
                 total["misses"] += counts["misses"]
-        return total
-
-    def episodes(self, primary: str) -> List[int]:
-        """Episodes with at least one observed lookup for `primary`."""
-        return sorted(ep for (who, ep) in self._counts if who == primary)
-
-    def merged(self, others: "List[WstTracker]", primary: str,
-               episode: int) -> Dict[str, int]:
-        """Aggregate this tracker with others for one outage episode."""
-        total = {"hits": 0, "misses": 0}
-        for tracker in [self, *others]:
-            counts = tracker.counts(primary, episode)
-            total["hits"] += counts["hits"]
-            total["misses"] += counts["misses"]
         return total

@@ -172,7 +172,7 @@ class GeminiCluster:
                 oracle=self.oracle, recorder=self.recorder,
                 rng=self.rng.stream(f"client-{index}"),
                 event_log=self.events)
-            client.cache.adopt(self.coordinator.current)
+            client.config = self.coordinator.current
             self.coordinator.subscribe(client.on_config)
             self.clients.append(client)
 

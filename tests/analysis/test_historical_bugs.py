@@ -85,17 +85,18 @@ class TestPr2LivenessGuardRevert:
 #: PR 1's stale-routing shape: the read session originally captured its
 #: fragment and configuration id *before* the retry loop, so a session
 #: straddling a Rejig kept routing every retry with superseded state.
-#: The fix moved the capture inside the loop; hoisting it back out is
-#: the minimal revert.
+#: The fix moved the capture inside the loop (today the one session
+#: loop that reads and writes share); hoisting it back out is the
+#: minimal revert.
 CAPTURE_FIXED = """\
             for attempt in range(1, self.MAX_ATTEMPTS + 1):
                 attempts = attempt
-                fragment = self.cache.route(key)
-                cfg = self.cache.config_id
+                fragment = self.config.fragment_for_key(key)
+                cfg = self.config.config_id
 """
 CAPTURE_BUGGED = """\
-            fragment = self.cache.route(key)
-            cfg = self.cache.config_id
+            fragment = self.config.fragment_for_key(key)
+            cfg = self.config.config_id
             for attempt in range(1, self.MAX_ATTEMPTS + 1):
                 attempts = attempt
 """
@@ -128,7 +129,7 @@ class TestPr1StaleCaptureRevert:
 
     def test_hoisted_capture_fires_gem007(self):
         source = CLIENT.read_text()
-        assert source.count(CAPTURE_FIXED) == 2, \
+        assert source.count(CAPTURE_FIXED) == 1, \
             "capture anchor moved; update test"
         bugged = source.replace(CAPTURE_FIXED, CAPTURE_BUGGED, 1)
         findings = analyze_source(bugged, path="client.py",

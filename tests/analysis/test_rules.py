@@ -8,6 +8,8 @@ import ast
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.core import analyze_source
 from repro.analysis.rules import (
     LivenessGuard,
@@ -23,8 +25,23 @@ from repro.analysis.rules import (
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
+#: Where each class on GEM006's protocol surface is defined.
+_SURFACE_MODULES = {
+    "CacheInstance": "cache/instance.py",
+    "Coordinator": "coordinator/coordinator.py",
+    "GeminiClient": "client/client.py",
+    "RecoveryWorker": "recovery/worker.py",
+}
+
+
 def check(rule, source):
     return analyze_source(textwrap.dedent(source), rules=[rule()])
+
+
+def _real_class(name):
+    source = (SRC / _SURFACE_MODULES[name]).read_text()
+    return next(node for node in ast.parse(source).body
+                if isinstance(node, ast.ClassDef) and node.name == name)
 
 
 class TestGem001WallClockAndGlobalRandomness:
@@ -391,10 +408,7 @@ class TestGem006MissingProtocolEvent:
     def test_coordinator_surface_is_every_method_that_emits(self):
         # A renamed transition body silently leaves the surface; pin the
         # table to the methods of the real Coordinator that emit.
-        source = (SRC / "coordinator" / "coordinator.py").read_text()
-        cls = next(node for node in ast.parse(source).body
-                   if isinstance(node, ast.ClassDef)
-                   and node.name == "Coordinator")
+        cls = _real_class("Coordinator")
         emitting = {
             method.name for method in cls.body
             if isinstance(method, ast.FunctionDef)
@@ -404,6 +418,18 @@ class TestGem006MissingProtocolEvent:
                     and node.func.attr == "_emit"
                     for node in ast.walk(method))}
         assert MissingProtocolEvent._SURFACE["Coordinator"] == emitting
+
+    def test_surface_classes_are_the_real_ones(self):
+        assert set(MissingProtocolEvent._SURFACE) == set(_SURFACE_MODULES)
+
+    @pytest.mark.parametrize("class_name", sorted(_SURFACE_MODULES))
+    def test_every_surface_name_is_a_method_of_the_real_class(
+            self, class_name):
+        # The rule skips a surface name the class no longer defines, so
+        # a merged or renamed method would leave the surface unchecked.
+        methods = {node.name for node in _real_class(class_name).body
+                   if isinstance(node, ast.FunctionDef)}
+        assert MissingProtocolEvent._SURFACE[class_name] <= methods
 
 
 def check_at(rule, path, source):

@@ -31,7 +31,7 @@ class TestNormalMode:
         client = loaded_cluster.clients[0]
         value = run_session(loaded_cluster, client.read("user0000000001"))
         assert value.version == 1
-        fragment = client.cache.route("user0000000001")
+        fragment = client.config.fragment_for_key("user0000000001")
         assert loaded_cluster.instances[fragment.primary].contains(
             "user0000000001")
 
@@ -48,7 +48,7 @@ class TestNormalMode:
         run_session(loaded_cluster, client.read(key))
         value = run_session(loaded_cluster, client.write(key, size=100))
         assert value.version == 2
-        fragment = client.cache.route(key)
+        fragment = client.config.fragment_for_key(key)
         assert not loaded_cluster.instances[fragment.primary].contains(key)
 
     def test_read_after_write_sees_new_version(self, loaded_cluster):
@@ -77,7 +77,7 @@ class TestNormalMode:
 class TestTransientMode:
     def fail_primary_of(self, cluster, key):
         client = cluster.clients[0]
-        fragment = client.cache.route(key)
+        fragment = client.config.fragment_for_key(key)
         cluster.fail_instance(fragment.primary)
         settle(cluster)
         return fragment.primary
@@ -88,7 +88,7 @@ class TestTransientMode:
         failed = self.fail_primary_of(loaded_cluster, key)
         value = run_session(loaded_cluster, client.read(key))
         assert value.version == 1
-        fragment = client.cache.route(key)
+        fragment = client.config.fragment_for_key(key)
         assert fragment.mode is FragmentMode.TRANSIENT
         assert fragment.secondary != failed
         assert loaded_cluster.instances[fragment.secondary].contains(key)
@@ -98,11 +98,11 @@ class TestTransientMode:
         key = "user0000000011"
         self.fail_primary_of(loaded_cluster, key)
         run_session(loaded_cluster, client.write(key, size=100))
-        fragment = client.cache.route(key)
+        fragment = client.config.fragment_for_key(key)
         secondary = loaded_cluster.instances[fragment.secondary]
         dirty = secondary.handle_request(CacheOp(
             op="get_dirty", fragment_id=fragment.fragment_id,
-            client_cfg_id=client.cache.config_id))
+            client_cfg_id=client.config.config_id))
         assert key in dirty
 
     def test_baseline_write_skips_dirty_list(self):
@@ -111,15 +111,15 @@ class TestTransientMode:
         cluster.start()
         client = cluster.clients[0]
         key = "user0000000011"
-        fragment = client.cache.route(key)
+        fragment = client.config.fragment_for_key(key)
         cluster.fail_instance(fragment.primary)
         settle(cluster)
         run_session(cluster, client.write(key))
-        fragment = client.cache.route(key)
+        fragment = client.config.fragment_for_key(key)
         secondary = cluster.instances[fragment.secondary]
         assert secondary.handle_request(CacheOp(
             op="get_dirty", fragment_id=fragment.fragment_id,
-            client_cfg_id=client.cache.config_id)) is CACHE_MISS
+            client_cfg_id=client.config.config_id)) is CACHE_MISS
 
 
 class TestRecoveryMode:
@@ -127,7 +127,7 @@ class TestRecoveryMode:
         """Warm the key, fail its primary, optionally dirty it, recover."""
         client = cluster.clients[0]
         run_session(cluster, client.read(key))
-        fragment = client.cache.route(key)
+        fragment = client.config.fragment_for_key(key)
         cluster.fail_instance(fragment.primary)
         settle(cluster)
         if write_during_outage:
@@ -148,7 +148,7 @@ class TestRecoveryMode:
         value = run_session(cluster, client.read(key))
         assert value.version == 1
         assert cluster.datastore.reads == before  # persisted entry reused
-        assert client.cache.route(key).mode is FragmentMode.RECOVERY
+        assert client.config.fragment_for_key(key).mode is FragmentMode.RECOVERY
 
     def test_dirty_key_not_served_stale(self):
         cluster = build_cluster(GEMINI_O_W, num_workers=0)
@@ -169,7 +169,7 @@ class TestRecoveryMode:
         client = cluster.clients[0]
         key = "user0000000001"
         self.prepare_recovery(cluster, key)
-        fragment = client.cache.route(key)
+        fragment = client.config.fragment_for_key(key)
         assert fragment.mode is FragmentMode.RECOVERY
         run_session(cluster, client.write(key, size=100))
         assert not cluster.instances[fragment.primary].contains(key)
@@ -184,7 +184,7 @@ class TestRecoveryMode:
         key = "user0000000020"
         # Key never cached in the primary; populate the secondary during
         # the outage, then recover.
-        fragment = client.cache.route(key)
+        fragment = client.config.fragment_for_key(key)
         cluster.fail_instance(fragment.primary)
         settle(cluster)
         run_session(cluster, client.read(key))  # fills the secondary
@@ -196,7 +196,7 @@ class TestRecoveryMode:
         assert cluster.datastore.reads == before  # came from the secondary
         assert client.wst.totals(fragment.primary)["hits"] == 1
         # ...and the count is namespaced under the outage's episode.
-        episode = client.cache.route(key).episode
+        episode = client.config.fragment_for_key(key).episode
         assert episode > 0
         assert client.wst.counts(fragment.primary, episode)["hits"] == 1
 
@@ -207,7 +207,7 @@ class TestRecoveryMode:
         cluster.start()
         client = cluster.clients[0]
         key = "user0000000020"
-        fragment = client.cache.route(key)
+        fragment = client.config.fragment_for_key(key)
         cluster.fail_instance(fragment.primary)
         settle(cluster)
         run_session(cluster, client.read(key))
@@ -225,7 +225,7 @@ class TestFailureHandling:
         cluster.datastore.populate(["user0000000001"], size_of=lambda _: 10)
         # Crash the instance for real, without telling the coordinator.
         client = cluster.clients[0]
-        fragment = client.cache.route("user0000000001")
+        fragment = client.config.fragment_for_key("user0000000001")
         cluster.instances[fragment.primary].fail()
         # Also silence the coordinator so no new config gets published.
         cluster.coordinator.fail()
@@ -239,14 +239,14 @@ class TestFailureHandling:
         cluster.datastore.populate(["user0000000001"], size_of=lambda _: 10)
         cluster.start()
         client = cluster.clients[0]
-        fragment = client.cache.route("user0000000001")
+        fragment = client.config.fragment_for_key("user0000000001")
         cluster.instances[fragment.primary].fail()  # real crash
         process = cluster.sim.process(client.write("user0000000001"))
         # The client reports the failure; the coordinator reassigns; the
         # write then completes against the secondary.
         value = cluster.sim.run_until(process, limit=60.0)
         assert value.version == 2
-        fragment = client.cache.route("user0000000001")
+        fragment = client.config.fragment_for_key("user0000000001")
         assert fragment.mode is FragmentMode.TRANSIENT
 
     def test_stale_client_bounced_and_recovers(self):
@@ -260,8 +260,8 @@ class TestFailureHandling:
             cluster.sim, cluster.network, cluster.spec.policy,
             oracle=cluster.oracle, recorder=cluster.recorder,
             rng=cluster.rng.stream("stale-client"))
-        stale_client.cache.adopt(cluster.coordinator.current)
-        fragment = stale_client.cache.route("user0000000001")
+        stale_client.config = cluster.coordinator.current
+        fragment = stale_client.config.fragment_for_key("user0000000001")
         # Fail some *other* instance: the stale client's next request (to
         # a live instance that already learned the new id) must bounce
         # with StaleConfiguration and trigger a refresh.
@@ -271,6 +271,6 @@ class TestFailureHandling:
         settle(cluster)
         value = run_session(cluster, stale_client.read("user0000000001"))
         assert value.version == 1
-        assert stale_client.cache.config_id == \
+        assert stale_client.config.config_id == \
             cluster.coordinator.current.config_id
         assert cluster.instances[fragment.primary].stats.stale_config_bounces >= 1

@@ -14,20 +14,7 @@ from repro.recovery.policies import GEMINI_O
 from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry
 from repro.types import FragmentMode
-
-
-class StubTransport:
-    """Answers every RPC with the canned reply for its op."""
-
-    def __init__(self, sim):
-        self.sim = sim
-        self.replies = {}
-
-    def bound(self, name):
-        return self
-
-    def call(self, address, request, timeout=None):
-        return self.sim.timeout(0.0, self.replies[request.op])
+from tests.conftest import StubTransport
 
 
 def config(config_id, mode):
@@ -52,7 +39,7 @@ def test_refresh_to_normal_drops_the_copy():
     sim, transport, client = client_holding_a_copy()
     transport.replies["get_config"] = config(4, FragmentMode.NORMAL)
     sim.run_until(sim.process(client._refresh_config()))
-    assert client.cache.config_id == 4
+    assert client.config.config_id == 4
     assert 0 not in client._dirty
 
 

@@ -53,7 +53,7 @@ class TestLemma2NormalMode:
         launch(cluster, writer, "write", at=0.2, results=results, tag="w")
         cluster.sim.run(until=5.0)
         assert cluster.oracle.stale_reads == 0
-        fragment = reader.cache.route(KEY)
+        fragment = reader.config.fragment_for_key(KEY)
         assert not cluster.instances[fragment.primary].contains(KEY)
 
     def test_case2_q_lease_voids_slow_readers_insert(self):
@@ -66,7 +66,7 @@ class TestLemma2NormalMode:
         launch(cluster, writer, "write", at=0.1, results=results, tag="w")
         cluster.sim.run(until=5.0)
         assert cluster.oracle.stale_reads == 0
-        fragment = reader.cache.route(KEY)
+        fragment = reader.config.fragment_for_key(KEY)
         # The slow reader's v1 insert was voided; no stale copy remains.
         cached = cluster.instances[fragment.primary].peek(KEY)
         if cached is not None and cached is not False:
@@ -109,14 +109,14 @@ class TestLemma4RecoveryMode:
         client = cluster.clients[0]
         process = cluster.sim.process(client.read(KEY))
         cluster.sim.run_until(process, limit=10.0)
-        fragment = client.cache.route(KEY)
+        fragment = client.config.fragment_for_key(KEY)
         cluster.fail_instance(fragment.primary)
         cluster.sim.run(until=cluster.sim.now + 1.0)
         process = cluster.sim.process(client.write(KEY, size=10))
         cluster.sim.run_until(process, limit=20.0)
         cluster.recover_instance(fragment.primary)
         cluster.sim.run(until=cluster.sim.now + 0.5)
-        assert client.cache.route(KEY).mode is FragmentMode.RECOVERY
+        assert client.config.fragment_for_key(KEY).mode is FragmentMode.RECOVERY
         return fragment
 
     def test_dirty_read_racing_write(self):
@@ -155,7 +155,7 @@ class TestLemma5CleanKeys:
         client = cluster.clients[0]
         process = cluster.sim.process(client.read(KEY))
         cluster.sim.run_until(process, limit=10.0)
-        fragment = client.cache.route(KEY)
+        fragment = client.config.fragment_for_key(KEY)
         cluster.fail_instance(fragment.primary)
         cluster.sim.run(until=cluster.sim.now + 1.0)
         # No write during the outage: the key stays clean.

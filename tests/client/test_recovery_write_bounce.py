@@ -36,14 +36,14 @@ class TestRecoveryWriteSecondaryBounce:
         # Warm, fail, dirty, recover: fragment in recovery mode with a
         # stale-ish copy in the secondary (filled by a transient read).
         run_session(cluster, client.read(key))
-        fragment = client.cache.route(key)
+        fragment = client.config.fragment_for_key(key)
         cluster.fail_instance(fragment.primary)
         settle(cluster)
         run_session(cluster, client.write(key, size=50))   # v2, dirty
         run_session(cluster, client.read(key))             # secondary: v2
         cluster.recover_instance(fragment.primary)
         settle(cluster, 0.5)
-        fragment = client.cache.route(key)
+        fragment = client.config.fragment_for_key(key)
         assert fragment.mode is FragmentMode.RECOVERY
         # Simulate the mid-fan-out bounce window: a newer (content-wise
         # identical) configuration exists; the secondary has already
@@ -76,7 +76,7 @@ class TestRecoveryWriteSecondaryBounce:
         client = cluster.clients[0]
         key = "user0000000001"
         run_session(cluster, client.read(key))
-        fragment = client.cache.route(key)
+        fragment = client.config.fragment_for_key(key)
         cluster.fail_instance(fragment.primary)
         settle(cluster)
         run_session(cluster, client.write(key, size=50))

@@ -32,15 +32,6 @@ class TestEpisodeNamespacing:
         tracker.observe("cache-0", 5, True)
         tracker.observe("cache-1", 5, True)
         assert tracker.totals("cache-0") == {"hits": 1, "misses": 1}
-        assert tracker.episodes("cache-0") == [2, 5]
-
-    def test_merged_is_per_episode(self):
-        ours, theirs = WstTracker(), WstTracker()
-        ours.observe("cache-0", 2, True)
-        theirs.observe("cache-0", 2, False)
-        theirs.observe("cache-0", 4, False)
-        assert ours.merged([theirs], "cache-0", 2) \
-            == {"hits": 1, "misses": 1}
 
 
 class TestBackToBackOutages:

@@ -96,3 +96,28 @@ def build_loaded_experiment(policy: RecoveryPolicy = GEMINI_O_W, *,
 @pytest.fixture
 def small_cluster() -> GeminiCluster:
     return build_cluster()
+
+
+class StubTransport:
+    """Answers every RPC with the canned reply for its op, raising it at
+    the caller when the reply is an exception; records ``(address, op)``
+    per call."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.replies = {}
+        self.calls = []
+
+    def bound(self, name):
+        return self
+
+    def call(self, address, request, timeout=None):
+        self.calls.append((address, request.op))
+        reply = self.replies[request.op]
+        if isinstance(reply, BaseException):
+            return self.sim.event().fail(reply)
+        return self.sim.timeout(0.0, reply)
+
+    def addresses(self, op):
+        """Where each call of ``op`` went, in order."""
+        return [address for address, name in self.calls if name == op]

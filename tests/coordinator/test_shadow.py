@@ -45,7 +45,7 @@ class TestPromotion:
         client = cluster.clients[0]
         promoted.on_event("fail", "cache-0")
         cluster.sim.run(until=1.0)
-        assert client.cache.config_id == promoted.current.config_id
+        assert client.config.config_id == promoted.current.config_id
 
     def test_new_master_continues_protocol(self):
         """A failure handled entirely by the promoted coordinator."""

@@ -60,8 +60,8 @@ class TestWiring:
 
     def test_clients_bootstrapped_with_config(self, small_cluster):
         for client in small_cluster.clients:
-            assert client.cache.ready
-            assert client.cache.config_id == 1
+            assert client.config is not None
+            assert client.config.config_id == 1
 
     def test_workers_have_config(self, small_cluster):
         for worker in small_cluster.workers:

@@ -44,7 +44,7 @@ class TestSecondaryFailsDuringRecovery:
         for worker in cluster.workers:
             worker.stop()
         run_session(cluster, client.read(key))
-        fragment = client.cache.route(key)
+        fragment = client.config.fragment_for_key(key)
         cluster.fail_instance(fragment.primary)
         settle(cluster)
         run_session(cluster, client.write(key, size=50))
@@ -109,7 +109,7 @@ class TestDirtyListEvictedInTransient:
         client = cluster.clients[0]
         key = "user0000000001"
         run_session(cluster, client.read(key))
-        fragment = client.cache.route(key)
+        fragment = client.config.fragment_for_key(key)
         cluster.fail_instance(fragment.primary)
         settle(cluster)
         transient = cluster.coordinator.current.fragment(

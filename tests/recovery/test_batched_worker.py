@@ -29,7 +29,7 @@ def dirty_one_fragment(cluster, count, stop_workers=False):
     for index in range(120):
         key = f"user{index:010d}"
         by_fragment.setdefault(
-            client.cache.route(key).fragment_id, []).append(key)
+            client.config.fragment_for_key(key).fragment_id, []).append(key)
     fragment_id, keys = max(by_fragment.items(), key=lambda kv: len(kv[1]))
     keys = keys[:count]
     assert len(keys) == count, "need more populated keys for this fragment"

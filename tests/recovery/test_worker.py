@@ -25,7 +25,7 @@ def dirty_cycle(cluster, keys):
     client = cluster.clients[0]
     for key in keys:
         run_session(cluster, client.read(key))
-    fragments = {key: client.cache.route(key) for key in keys}
+    fragments = {key: client.config.fragment_for_key(key) for key in keys}
     failed = {f.primary for f in fragments.values()}
     for address in failed:
         cluster.fail_instance(address)
@@ -72,7 +72,7 @@ class TestGeminiO:
         client = cluster.clients[0]
         key = "user0000000001"
         run_session(cluster, client.read(key))
-        fragment = client.cache.route(key)
+        fragment = client.config.fragment_for_key(key)
         cluster.fail_instance(fragment.primary)
         settle(cluster)
         run_session(cluster, client.write(key, size=50))
@@ -89,11 +89,11 @@ class TestGeminiO:
         client = cluster.clients[0]
         key = "user0000000001"
         run_session(cluster, client.read(key))
-        fragment = client.cache.route(key)
+        fragment = client.config.fragment_for_key(key)
         cluster.fail_instance(fragment.primary)
         settle(cluster)
         run_session(cluster, client.write(key, size=50))
-        secondary_address = client.cache.route(key).secondary
+        secondary_address = client.config.fragment_for_key(key).secondary
         cluster.recover_instance(fragment.primary)
         settle(cluster, 10.0)
         secondary = cluster.instances[secondary_address]
@@ -109,7 +109,7 @@ class TestGeminiI:
         client = cluster.clients[0]
         key = "user0000000001"
         run_session(cluster, client.read(key))
-        fragment = client.cache.route(key)
+        fragment = client.config.fragment_for_key(key)
         cluster.fail_instance(fragment.primary)
         settle(cluster)
         run_session(cluster, client.write(key, size=50))
@@ -144,7 +144,7 @@ class TestWorkerCrash:
         client = cluster.clients[0]
         key = "user0000000001"
         run_session(cluster, client.read(key))
-        fragment = client.cache.route(key)
+        fragment = client.config.fragment_for_key(key)
         cluster.fail_instance(fragment.primary)
         settle(cluster)
         run_session(cluster, client.write(key, size=50))

@@ -10,6 +10,12 @@ hot path"). A kernel change that reorders any callback moves at least
 one of them; a change that only makes the kernel cheaper moves none.
 ``events`` is deliberately not pinned: it counts allocations, not order.
 
+The same run traced is pinned by the count and the digest of its spans
+(names, actors, parents, times, statuses and attributes, in the order
+the tracer returns them). Tracing watches the run without steering it,
+so a change to when or how a session retries, or to what its spans
+record, moves the digest even where the event stream stays put.
+
 The values were taken under Python 3.11.7. The key ranks come from a
 Zipf CDF built with CPython's float ``**`` (the platform libm's ``pow``),
 so a libm that rounds ``pow`` differently moves them too.
@@ -21,6 +27,7 @@ import json
 import pytest
 
 from repro.harness.scenarios import YcsbScenario, build_ycsb_experiment
+from repro.obs.trace import Tracer
 from repro.recovery.policies import GEMINI_O_W
 
 SCENARIO = YcsbScenario(policy=GEMINI_O_W, update_fraction=0.05, threads=2,
@@ -39,16 +46,29 @@ EXPECTED = {
                "0fd9ce3536824da7b728e816500545a7"),
 }
 
+#: The traced run's spans: how many, and the sha256 over one sorted-key
+#: JSON line of ``Span.to_dict()`` per span.
+EXPECTED_SPANS = {
+    "spans": 114077,
+    "digest": ("a226f74bf3996140da433d7d8287154b"
+               "fb0807f6107c02e02deb8b6e70cec6f7"),
+}
+
 
 def _evictions(cluster):
     return sum(i.stats.evictions for i in cluster.instances.values())
 
 
-def _run():
+def _build():
     cluster, workload, experiment = build_ycsb_experiment(SCENARIO)
     cluster.spec.cache_db_ratio = 0.6
     cluster.size_memory_for(SCENARIO.records * (SCENARIO.record_size + 100))
     cluster.warm_cache(workload.keyspace.active_keys())
+    return cluster, experiment
+
+
+def _run():
+    cluster, experiment = _build()
     warm_evictions = _evictions(cluster)
     steps_before = cluster.sim.counters.steps
     experiment.run()
@@ -93,3 +113,21 @@ def test_run_exercises_recovery(observed):
     assert observed["evictions"] > 0
     assert observed["keys_repaired"] > 0
     assert observed["config_commits"] >= 3
+
+
+def test_spans_pinned():
+    cluster, experiment = _build()
+    tracer = Tracer(cluster.sim)
+    tracer.install()
+    try:
+        experiment.run()
+        spans = tracer.finish()
+    finally:
+        tracer.uninstall()
+    assert tracer.dropped == 0
+    digest = hashlib.sha256()
+    for span in spans:
+        digest.update(json.dumps(span.to_dict(), sort_keys=True).encode())
+        digest.update(b"\n")
+    assert {"spans": len(spans), "digest": digest.hexdigest()} \
+        == EXPECTED_SPANS
