@@ -19,12 +19,11 @@ from __future__ import annotations
 import ast
 import re
 import tokenize
-from collections import deque
 from dataclasses import dataclass, field
 from io import StringIO
 from pathlib import Path
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Type, Union, cast)
+from typing import (Dict, Iterable, List, Optional, Sequence, Tuple, Type,
+                    Union, cast)
 
 __all__ = [
     "Finding",
@@ -38,7 +37,6 @@ __all__ = [
     "analyze_paths",
     "CALLABLE_DEFS",
     "enclosing_callable",
-    "walk_own",
     "op_of_call",
 ]
 
@@ -108,25 +106,8 @@ class ModuleContext:
             current = self.parents.get(current)
         return None
 
-    def enclosing_function(
-        self, node: ast.AST
-    ) -> Optional[ast.FunctionDef]:
-        """Innermost plain ``def`` containing ``node``.
-
-        ``async def`` is skipped on purpose: the sim-kernel rules reason
-        about generator ``def``s, and a coroutine of the live runtime is
-        never one of them. :func:`enclosing_callable` sees both kinds.
-        """
-        return cast(Optional[ast.FunctionDef],
-                    self.enclosing(node, ast.FunctionDef))
-
     def enclosing_class(self, node: ast.AST) -> Optional[ast.ClassDef]:
         return cast(Optional[ast.ClassDef], self.enclosing(node, ast.ClassDef))
-
-    def is_generator(self, func: ast.FunctionDef) -> bool:
-        """True when ``func`` contains a ``yield`` of its own."""
-        return any(isinstance(node, (ast.Yield, ast.YieldFrom))
-                   for node in walk_own(func, ast.FunctionDef))
 
 
 class Rule:
@@ -366,28 +347,3 @@ def enclosing_callable(ctx: ModuleContext,
                        node: ast.AST) -> Optional[ast.AST]:
     """Innermost ``def`` or ``async def`` containing ``node``."""
     return ctx.enclosing(node, CALLABLE_DEFS)
-
-
-def walk_own(func: ast.AST,
-             scopes: Union[type, Tuple[type, ...]] = CALLABLE_DEFS
-             ) -> Iterator[ast.AST]:
-    """Nodes whose innermost enclosing ``scopes`` node is ``func``, in
-    :func:`ast.walk` order: a nested scope is yielded, its insides are
-    not. The default scopes are ``def`` and ``async def``
-    (:func:`enclosing_callable`); ``ast.FunctionDef`` alone matches
-    :meth:`ModuleContext.enclosing_function`."""
-    todo = deque(ast.iter_child_nodes(func))
-    while todo:
-        node = todo.popleft()
-        yield node
-        if not isinstance(node, scopes):
-            todo.extend(ast.iter_child_nodes(node))
-
-
-def walk_in_function(func: ast.FunctionDef, kinds: Tuple[type, ...],
-                     predicate: Optional[Callable[[ast.AST], bool]] = None
-                     ) -> List[ast.AST]:
-    """Nodes of ``kinds`` whose innermost enclosing def is ``func``."""
-    return [node for node in walk_own(func, ast.FunctionDef)
-            if isinstance(node, kinds)
-            and (predicate is None or predicate(node))]

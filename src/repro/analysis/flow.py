@@ -17,9 +17,16 @@ family needs, and two fixpoints run over the resolved call sites:
 * **yield/lock summaries** — whether a function *may suspend* (a direct
   ``yield``, or a ``yield from self.<m>()`` into a may-yield method) and
   which locks it acquires (kernel ``.acquire()`` calls and Redlease RPCs,
-  also through ``yield from self.<m>()``), for GEM007-GEM009 via the
-  :mod:`repro.analysis.interproc` query API. A ``yield from`` into
-  anything but a resolvable ``self`` method conservatively may suspend.
+  also through ``yield from self.<m>()``), for GEM007-GEM009. A ``yield
+  from`` into anything but a resolvable ``self`` method conservatively
+  may suspend.
+
+The scan is also the one answer to "which nodes belong to this
+function": :attr:`FlowFunction.nodes` lists them (a nested ``def`` or
+``async def`` is listed, its body belongs to the nested function), and
+the per-function rules (GEM002-GEM009, GEM013) read that list instead
+of walking the AST themselves. A rule that wants closures folded in
+iterates :meth:`FlowFunction.within`.
 
 The graph also answers **may-block** questions (which functions reach a
 blocking primitive from the event loop, GEM013) and gives GEM003 its
@@ -35,13 +42,14 @@ from __future__ import annotations
 
 import ast
 import builtins
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
                     Tuple, Union)
 
 from repro.analysis.core import (CALLABLE_DEFS, ModuleContext, call_name,
-                                 enclosing_callable, op_of_call, walk_own)
+                                 enclosing_callable, op_of_call)
 
 __all__ = [
     "FlowFunction",
@@ -120,6 +128,9 @@ class FlowFunction:
     is_async: bool = False
     #: Functions defined directly inside this one.
     inner: List["FlowFunction"] = field(default_factory=list)
+    #: Every node this function owns, in :func:`ast.walk` order: a
+    #: nested ``def``/``async def`` is listed, its insides are not.
+    nodes: List[ast.AST] = field(default_factory=list)
     #: ``(exception name, guards)`` for each explicit raise; guards are
     #: the handler-name tuples of every enclosing ``try`` body.
     direct_raises: List[Tuple[str, Tuple[Tuple[str, ...], ...]]] = field(
@@ -141,11 +152,31 @@ class FlowFunction:
     #: via ``yield from self.<m>()``) acquires.
     acquires: Set[str] = field(default_factory=set)
 
+    @property
+    def is_generator(self) -> bool:
+        """True when the function has a ``yield`` of its own."""
+        return self.direct_yield or bool(self.yield_froms)
+
     def within(self) -> Iterator["FlowFunction"]:
         """This function and every function nested inside it."""
         yield self
         for inner in self.inner:
             yield from inner.within()
+
+    def suspends(self, node: ast.AST) -> bool:
+        """Does this ``yield``/``yield from`` (one of :attr:`nodes`) suspend?
+
+        A bare ``yield`` always does. ``yield from self.m()`` suspends
+        only if ``m`` may yield — delegating into a non-yielding helper
+        runs it to completion synchronously.
+        """
+        if isinstance(node, ast.Yield):
+            return True
+        if isinstance(node, ast.YieldFrom):
+            site = self.yield_froms.get(node)
+            return site is None or not site.targets or any(
+                target.may_yield for target in site.targets)
+        return False
 
 
 @dataclass
@@ -172,7 +203,8 @@ class CallSite:
 
 @dataclass(eq=False)
 class FlowClass:
-    """One class definition and its method table."""
+    """One class definition and its method table (the ``def``s and
+    ``async def``s written in its body; the first of a name wins)."""
 
     name: str
     module: "FlowModule"
@@ -229,7 +261,7 @@ class FlowModule:
             outer = enclosing_callable(self.ctx, node)
             if outer is not None:
                 self.by_node[outer].inner.append(func)
-            if class_name and class_name in self.classes:
+            if cls is not None and self.ctx.parent(node) is cls:
                 self.classes[class_name].methods.setdefault(node.name, func)
             elif not class_name and outer is None:
                 self.funcs.setdefault(node.name, func)
@@ -278,8 +310,14 @@ class FlowProject:
     # -- scanning ---------------------------------------------------------
 
     def _scan(self, func: FlowFunction) -> None:
+        todo = deque(ast.iter_child_nodes(func.node))
+        while todo:
+            node = todo.popleft()
+            func.nodes.append(node)
+            if not isinstance(node, CALLABLE_DEFS):
+                todo.extend(ast.iter_child_nodes(node))
         yield_froms: List[ast.YieldFrom] = []
-        for node in walk_own(func.node):
+        for node in func.nodes:
             if isinstance(node, ast.Raise):
                 self._scan_raise(func, node)
             elif isinstance(node, ast.Call):

@@ -38,7 +38,6 @@ from repro.analysis.core import (
     call_name,
     keyword_arg,
     register_rule,
-    walk_own,
 )
 from repro.analysis.flow import (
     EXEMPT_ESCAPES,
@@ -724,7 +723,7 @@ class AsyncioDiscipline(Rule):
                 acquires.append((site.name[: -len(".acquire")], node))
         if not acquires:
             return findings
-        awaits = [n for n in walk_own(func.node) if isinstance(n, ast.Await)]
+        awaits = [n for n in func.nodes if isinstance(n, ast.Await)]
         for lock, node in acquires:
             if self._released_in_finally(ctx, func, lock, node):
                 continue

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.core import (
     Finding,
@@ -29,9 +29,8 @@ from repro.analysis.core import (
     dotted_name,
     op_of_call,
     register_rule,
-    walk_in_function,
 )
-from repro.analysis.flow import single_module_project
+from repro.analysis.flow import FlowClass, FlowFunction, single_module_project
 
 __all__ = [
     "WallClockAndGlobalRandomness",
@@ -99,9 +98,22 @@ def _in_package(path: str, package: str) -> bool:
     return f"/{package}/" in normalized
 
 
-def _method_map(cls: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
-    return {node.name: node for node in cls.body
-            if isinstance(node, ast.FunctionDef)}
+def _classes(ctx: ModuleContext) -> List[FlowClass]:
+    """The module's top-level classes, as scanned."""
+    classes = single_module_project(ctx).modules[0].classes
+    return [classes[node.name] for node in ctx.tree.body
+            if isinstance(node, ast.ClassDef)]
+
+
+def _methods(cls: FlowClass) -> List[FlowFunction]:
+    """``cls``'s plain ``def``s, in source order."""
+    return [func for func in cls.methods.values() if not func.is_async]
+
+
+def _nodes_within(func: FlowFunction) -> Iterator[ast.AST]:
+    """Every node of ``func``, its closures' nodes included."""
+    for inner in func.within():
+        yield from inner.nodes
 
 
 # ----------------------------------------------------------------------
@@ -232,17 +244,16 @@ class UnawaitedSimPrimitive(Rule):
     def check(self, ctx: ModuleContext) -> List[Finding]:
         findings: List[Finding] = []
         for func in single_module_project(ctx).modules[0].functions:
-            if isinstance(func.node, ast.FunctionDef):
-                findings.extend(self._check_function(ctx, func.node))
+            if not func.is_async:
+                findings.extend(self._check_function(ctx, func))
         return findings
 
     def _check_function(self, ctx: ModuleContext,
-                        func: ast.FunctionDef) -> List[Finding]:
+                        func: FlowFunction) -> List[Finding]:
         findings: List[Finding] = []
         # (a) bare expression statements dropping a waitable
-        for stmt in walk_in_function(func, (ast.Expr,)):
-            assert isinstance(stmt, ast.Expr)
-            if isinstance(stmt.value, ast.Call):
+        for stmt in func.nodes:
+            if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
                 name = self._is_waitable_factory(stmt.value)
                 if name is not None:
                     findings.append(self.finding(
@@ -250,14 +261,14 @@ class UnawaitedSimPrimitive(Rule):
                         f"result of {name}(...) is discarded; yield it "
                         f"(or store and wait on it) — as written the "
                         f"wait silently never happens"))
-        # (b) assigned to a name that is never read again
-        loads: Set[str] = set()
-        for node in ast.walk(func):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loads.add(node.id)
-        for stmt in walk_in_function(func, (ast.Assign,)):
-            assert isinstance(stmt, ast.Assign)
-            if not isinstance(stmt.value, ast.Call):
+        # (b) assigned to a name that is never read again (a read in a
+        # closure counts)
+        loads = {node.id for node in _nodes_within(func)
+                 if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Load)}
+        for stmt in func.nodes:
+            if not (isinstance(stmt, ast.Assign)
+                    and isinstance(stmt.value, ast.Call)):
                 continue
             name = self._is_waitable_factory(stmt.value)
             if name is None:
@@ -296,23 +307,22 @@ class UnguardedDirtyMutation(Rule):
         "iset", "iqset",
     }
 
-    def _applies(self, ctx: ModuleContext, cls: ast.ClassDef) -> bool:
+    def _applies(self, ctx: ModuleContext, cls: FlowClass) -> bool:
         return ("Worker" in cls.name
                 or ctx.path.replace("\\", "/").endswith("worker.py"))
 
     def check(self, ctx: ModuleContext) -> List[Finding]:
         findings: List[Finding] = []
-        for node in ctx.tree.body:
-            if isinstance(node, ast.ClassDef) and self._applies(ctx, node):
-                findings.extend(self._check_class(ctx, node))
+        for cls in _classes(ctx):
+            if self._applies(ctx, cls):
+                findings.extend(self._check_class(ctx, cls))
         return findings
 
     def _check_class(self, ctx: ModuleContext,
-                     cls: ast.ClassDef) -> List[Finding]:
-        module = single_module_project(ctx).modules[0]
+                     cls: FlowClass) -> List[Finding]:
         # A method's calls include those of closures defined inside it.
-        methods = {node.name: list(module.by_node[node].within())
-                   for node in cls.body if isinstance(node, ast.FunctionDef)}
+        methods = {method.node.name: list(method.within())
+                   for method in _methods(cls)}
         ops = {name: {op for func in funcs for site in func.call_sites
                       if site.node is not None
                       and (op := op_of_call(site.node)) is not None}
@@ -390,12 +400,10 @@ class SessionConfigStamp(Rule):
     def check(self, ctx: ModuleContext) -> List[Finding]:
         findings: List[Finding] = []
         defines_cfg_carrier = self._module_defines_cfg_carrier(ctx)
-        for node in ctx.tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
+        for cls in _classes(ctx):
             if defines_cfg_carrier:
-                findings.extend(self._check_dispatcher(ctx, node))
-            findings.extend(self._check_stamping(ctx, node))
+                findings.extend(self._check_dispatcher(ctx, cls))
+            findings.extend(self._check_stamping(ctx, cls))
         return findings
 
     @staticmethod
@@ -409,43 +417,41 @@ class SessionConfigStamp(Rule):
         return False
 
     def _check_dispatcher(self, ctx: ModuleContext,
-                          cls: ast.ClassDef) -> List[Finding]:
-        methods = _method_map(cls)
+                          cls: FlowClass) -> List[Finding]:
+        methods = {func.node.name: func for func in _methods(cls)}
         handler = methods.get("handle_request")
         if handler is None:
             return []
         if not any(name.startswith("op_") for name in methods):
             return []
-        for node in ast.walk(handler):
-            if isinstance(node, ast.Call):
-                name = call_name(node) or ""
-                if "check_config" in name:
-                    return []
+        if any(isinstance(node, ast.Call)
+               and "check_config" in (call_name(node) or "")
+               for node in _nodes_within(handler)):
+            return []
         return [self.finding(
-            ctx, handler,
+            ctx, handler.node,
             f"{cls.name}.handle_request dispatches ops carrying "
             f"client_cfg_id without a config-id freshness check "
             f"(_check_config_id): stale sessions will never bounce")]
 
     def _check_stamping(self, ctx: ModuleContext,
-                        cls: ast.ClassDef) -> List[Finding]:
-        methods = _method_map(cls)
+                        cls: FlowClass) -> List[Finding]:
+        methods = _methods(cls)
         helpers: Dict[str, int] = {}
-        for helper_name in ("_op", "_cfg"):
-            helper = methods.get(helper_name)
-            if helper is None:
+        for helper in methods:
+            if helper.node.name not in ("_op", "_cfg"):
                 continue
-            params = [arg.arg for arg in helper.args.args
+            params = [arg.arg for arg in helper.node.args.args
                       if arg.arg != "self"]
             for index, param in enumerate(params):
                 if param in self._CFG_PARAMS:
-                    helpers[helper_name] = index
+                    helpers[helper.node.name] = index
                     break
         if not helpers:
             return []
         findings: List[Finding] = []
-        for method in methods.values():
-            for node in ast.walk(method):
+        for method in methods:
+            for node in _nodes_within(method):
                 if not isinstance(node, ast.Call):
                     continue
                 name = call_name(node)
@@ -461,11 +467,11 @@ class SessionConfigStamp(Rule):
                 rendered = ast.unparse(value)
                 findings.append(self.finding(
                     ctx, value,
-                    f"{cls.name}.{method.name} stamps {rendered!r} into "
-                    f"self.{helper_name}(...); stamp the session-captured "
-                    f"config id (a local name bound when the session "
-                    f"routed) — stamping live state re-introduces the "
-                    f"PR 1 stale-read resurrection"))
+                    f"{cls.name}.{method.node.name} stamps {rendered!r} "
+                    f"into self.{helper_name}(...); stamp the "
+                    f"session-captured config id (a local name bound "
+                    f"when the session routed) — stamping live state "
+                    f"re-introduces the PR 1 stale-read resurrection"))
         return findings
 
     @staticmethod
@@ -499,9 +505,9 @@ class LivenessGuard(Rule):
 
     def check(self, ctx: ModuleContext) -> List[Finding]:
         findings: List[Finding] = []
-        for node in ctx.tree.body:
-            if isinstance(node, ast.ClassDef) and self._is_node(node):
-                findings.extend(self._check_class(ctx, node))
+        for cls in _classes(ctx):
+            if self._is_node(cls.node):
+                findings.extend(self._check_class(ctx, cls))
         return findings
 
     def _is_node(self, cls: ast.ClassDef) -> bool:
@@ -512,9 +518,9 @@ class LivenessGuard(Rule):
         return False
 
     @staticmethod
-    def _mutates(method: ast.FunctionDef) -> bool:
+    def _mutates(method: FlowFunction) -> bool:
         """Does the handler change state or spawn work?"""
-        for node in ast.walk(method):
+        for node in _nodes_within(method):
             if isinstance(node, (ast.Assign, ast.AugAssign)):
                 for target in (node.targets
                                if isinstance(node, ast.Assign)
@@ -529,30 +535,26 @@ class LivenessGuard(Rule):
         return False
 
     @staticmethod
-    def _references_up(method: ast.FunctionDef) -> bool:
-        for node in ast.walk(method):
-            if isinstance(node, ast.Attribute) and node.attr == "up":
-                if isinstance(node.value, ast.Name) \
-                        and node.value.id == "self":
-                    return True
-        return False
+    def _references_up(method: FlowFunction) -> bool:
+        return any(isinstance(node, ast.Attribute) and node.attr == "up"
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id == "self"
+                   for node in _nodes_within(method))
 
     def _check_class(self, ctx: ModuleContext,
-                     cls: ast.ClassDef) -> List[Finding]:
+                     cls: FlowClass) -> List[Finding]:
         findings: List[Finding] = []
-        for method in cls.body:
-            if not isinstance(method, ast.FunctionDef):
-                continue
-            if not (method.name.startswith("on_")
-                    or method.name.startswith("notify_")):
+        for method in _methods(cls):
+            name = method.node.name
+            if not (name.startswith("on_") or name.startswith("notify_")):
                 continue
             if not self._mutates(method):
                 continue
             if self._references_up(method):
                 continue
             findings.append(self.finding(
-                ctx, method,
-                f"{cls.name}.{method.name} mutates state or spawns work "
+                ctx, method.node,
+                f"{cls.name}.{name} mutates state or spawns work "
                 f"from a direct callback without checking self.up — a "
                 f"dead node acting on callbacks is the PR 2 split-brain"))
         return findings
@@ -588,34 +590,23 @@ class MissingProtocolEvent(Rule):
 
     def check(self, ctx: ModuleContext) -> List[Finding]:
         findings: List[Finding] = []
-        for node in ctx.tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            surface = self._SURFACE.get(node.name)
-            if not surface:
-                continue
-            for method in node.body:
-                if not isinstance(method, ast.FunctionDef):
-                    continue
-                if method.name not in surface:
-                    continue
-                if not self._emits(method):
+        for cls in _classes(ctx):
+            surface = self._SURFACE.get(cls.name, set())
+            for method in _methods(cls):
+                if method.node.name in surface and not self._emits(method):
                     findings.append(self.finding(
-                        ctx, method,
-                        f"{node.name}.{method.name} is on the protocol "
+                        ctx, method.node,
+                        f"{cls.name}.{method.node.name} is on the protocol "
                         f"surface but emits no verify.events protocol "
                         f"event; the invariant checkers go blind"))
         return findings
 
     @staticmethod
-    def _emits(method: ast.FunctionDef) -> bool:
-        for node in ast.walk(method):
-            if isinstance(node, ast.Call):
-                name = call_name(node) or ""
-                last = name.split(".")[-1]
-                if last in ("_emit", "emit"):
-                    return True
-        return False
+    def _emits(method: FlowFunction) -> bool:
+        return any(isinstance(node, ast.Call)
+                   and (call_name(node) or "").split(".")[-1]
+                   in ("_emit", "emit")
+                   for node in _nodes_within(method))
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,10 @@
 Every protocol bug this repo has shipped had the same shape: a process
 reads shared protocol state, yields to the cooperative kernel, and then
 acts on the now-stale read — a TOCTOU across a yield point. The static
-rules (GEM007-GEM009, :mod:`repro.analysis.interleave`) catch the
-lexical shape; :class:`SimSanitizer` catches the *dynamic* one by
+rules (GEM007-GEM009, :mod:`repro.analysis.interleave`, reading the
+per-function scan and may-yield/lock fixpoint of
+:class:`repro.analysis.flow.FlowProject`) catch the lexical shape;
+:class:`SimSanitizer` catches the *dynamic* one by
 tagging each inter-yield segment of every :class:`~repro.sim.core.Process`
 as an atomic section and recording shared-object access footprints
 through lightweight hooks in the kernel (`sim/core.py`, `sim/sync.py`)

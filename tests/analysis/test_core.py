@@ -15,6 +15,7 @@ from repro.analysis.core import (
     iter_python_files,
     register_rule,
 )
+from repro.analysis.flow import single_module_project
 from repro.analysis.rules import WallClockAndGlobalRandomness
 
 
@@ -68,9 +69,9 @@ class TestModuleContext:
         cls = ctx.tree.body[0]
         method = cls.body[0]
         assign = method.body[0]
-        assert ctx.enclosing_function(assign) is method
+        assert ctx.enclosing(assign, ast.FunctionDef) is method
         assert ctx.enclosing_class(assign) is cls
-        assert ctx.enclosing_function(cls) is None
+        assert ctx.enclosing(cls, ast.FunctionDef) is None
 
     def test_is_generator_ignores_nested_defs(self):
         ctx = self.make("""
@@ -81,8 +82,9 @@ class TestModuleContext:
         """)
         outer = ctx.tree.body[0]
         inner = outer.body[0]
-        assert not ctx.is_generator(outer)
-        assert ctx.is_generator(inner)
+        functions = single_module_project(ctx).modules[0].by_node
+        assert not functions[outer].is_generator
+        assert functions[inner].is_generator
 
 
 class TestSuppressions:

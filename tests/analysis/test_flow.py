@@ -315,8 +315,7 @@ class TestAsyncReachability:
                     if isinstance(n, ast.Call))
         owner = enclosing_callable(ctx, call)
         assert isinstance(owner, ast.AsyncFunctionDef)
-        # The pre-existing helper ignores async defs by design.
-        assert ctx.enclosing_function(call) is None
+        assert ctx.enclosing(call, ast.FunctionDef) is None
 
 
 class TestBlockingPrimitives:

@@ -1,21 +1,22 @@
-"""Interprocedural summaries (repro.analysis.interproc)."""
+"""Interprocedural summaries: the may-yield / lock fixpoint of the one
+call graph (repro.analysis.flow), read per module."""
 
 import ast
 
-from repro.analysis.core import ModuleContext
-from repro.analysis.interproc import build_summaries, op_of_call
+from repro.analysis.core import ModuleContext, op_of_call
+from repro.analysis.flow import single_module_project
 
 
 def summaries_of(source):
     tree = ast.parse(source)
     ctx = ModuleContext(path="t.py", source=source, tree=tree)
-    return build_summaries(ctx)
+    return single_module_project(ctx)
 
 
-def by_name(summaries, qualname):
-    for summary in summaries.by_node.values():
-        if summary.qualname == qualname:
-            return summary
+def by_name(project, qualname):
+    for func in project.functions:
+        if func.qualname == qualname:
+            return func
     raise AssertionError(f"no summary for {qualname}")
 
 
