@@ -167,8 +167,7 @@ class W:
         self._gate.release()
 ''')
         assert [f.code for f in findings] == ["GEM008"]
-        assert "W._lock" in findings[0].message
-        assert "W._gate" in findings[0].message
+        assert "W._gate -> W._lock -> W._gate;" in findings[0].message
 
     def test_consistent_order_is_clean(self):
         assert gem008('''
@@ -223,6 +222,36 @@ class W:
 ''')
         assert [f.code for f in findings] == ["GEM008"]
         assert "redlease" in findings[0].message
+
+    def test_direct_reacquire_while_held_fires(self):
+        findings = gem008('''
+class W:
+    def twice(self):
+        yield self._lock.acquire()
+        yield self._lock.acquire()
+        self._lock.release()
+        self._lock.release()
+''')
+        assert [(f.code, f.line) for f in findings] == [("GEM008", 5)]
+        assert "'W._lock' re-acquired while held" in findings[0].message
+        assert "->" not in findings[0].message
+
+    def test_reacquire_through_yield_from_fires(self):
+        findings = gem008('''
+class W:
+    def outer(self, cfg):
+        lease = yield self.network.call(
+            "i", self._cfg(cfg, op="red_acquire"))
+        yield from self.inner(cfg)
+        yield self.network.call("i", self._cfg(cfg, op="red_release"))
+
+    def inner(self, cfg):
+        lease = yield self.network.call(
+            "i", self._cfg(cfg, op="red_acquire"))
+        yield self.network.call("i", self._cfg(cfg, op="red_release"))
+''')
+        assert [(f.code, f.line) for f in findings] == [("GEM008", 6)]
+        assert "'redlease' re-acquired while held" in findings[0].message
 
     def test_same_attribute_on_different_classes_is_distinct(self):
         assert gem008('''
