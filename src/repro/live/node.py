@@ -117,6 +117,14 @@ class PersistentCacheInstance(CacheInstance):
         Returns the number of entries restored. Lease state is *not*
         restored — it lived in DRAM and the crash wiped it, which is
         precisely why recovery must run before trusting this instance.
+
+        A kill in the middle of an append leaves the last record without
+        its newline. That record was never acknowledged (the reply goes
+        out after the append returns), so replay skips it and the file
+        is cut back to the last complete record; otherwise the next
+        append would be glued onto the fragment. Only the last record
+        can be torn: a complete line that does not decode is corruption
+        and raises :class:`~repro.live.wire.WireError`.
         """
         from repro.live.wire import decode
         replayed = 0
@@ -124,12 +132,17 @@ class PersistentCacheInstance(CacheInstance):
             self._replaying = True
             try:
                 # geminilint: disable=GEM013 -- journal replay runs at boot, before the node serves; blocking here is the point
-                with open(self._journal_path, encoding="utf-8") as journal:
+                with open(self._journal_path, "rb+") as journal:
+                    complete = 0
                     for line in journal:
+                        if not line.endswith(b"\n"):
+                            journal.truncate(complete)
+                            break
+                        complete += len(line)
                         line = line.strip()
                         if not line:
                             continue
-                        record = decode(line.encode("utf-8"))
+                        record = decode(line)
                         kind = record[0]
                         if kind == "put":
                             __, key, value, config_id, value_size = record
